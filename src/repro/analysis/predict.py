@@ -749,10 +749,13 @@ def _horizon(u0: np.ndarray, w: int, num_units: int) -> Tuple[int, np.ndarray]:
     same = (s[1:] % aw) == (s[:-1] % aw)
     lags = np.zeros(len(s), dtype=np.int64)
     gap = np.where(same, (s[1:] - s[:-1]) // aw, 0)
+    # Block b's offset o is block b-k's offset o + k*w: for w > 0 the
+    # nearest higher offset of its residue class covers it first, for
+    # w < 0 the nearest lower one.
     if w > 0:
-        lags[1:] = gap          # nearest predecessor covers the line
+        lags[:-1] = gap
     else:
-        lags[:-1] = gap         # nearest successor (stream moves down)
+        lags[1:] = gap
     # A self-cover at lag k first fires at block k, so lags beyond the
     # last block index can never materialize inside this loop.
     horizon = num_units - 1

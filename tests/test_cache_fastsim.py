@@ -129,6 +129,20 @@ class TestPropertyEquivalence:
         ways = min(1 << log_ways, size // 32)
         _compare(set_associative(size, ways, 32), addrs, writes)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trace=trace_strategy(),
+        log_sets=st.integers(1, 4),
+        log_ways=st.integers(3, 4),
+        chunk=st.integers(1, 300),
+    )
+    def test_wide_assoc_negative_addresses(self, trace, log_sets, log_ways, chunk):
+        """8/16-way multi-set caches over a trace shifted below zero."""
+        addrs, writes = trace
+        ways = 1 << log_ways
+        config = set_associative((16 << log_sets) * ways, ways, 16)
+        _compare(config, addrs - 4096, writes, chunk=chunk)
+
     @settings(max_examples=30, deadline=None)
     @given(trace=trace_strategy())
     def test_spatial_run_traces(self, trace):
@@ -152,6 +166,19 @@ class TestPropertyEquivalence:
         assert np.array_equal(all_misses, np.concatenate(parts))
         assert one.stats.misses == many.stats.misses
         assert one.stats.writebacks == many.stats.writebacks
+
+
+class TestExtremeAddresses:
+    @pytest.mark.parametrize("line,ways", [(1, 1), (1, 4), (32, 2)])
+    def test_int64_wide_address_span(self, line, ways):
+        """Lines spread over most of int64 cannot be packed with their
+        positions into one sort key; the argsort fallbacks stay exact."""
+        rng = np.random.default_rng(3)
+        far = np.array([-(1 << 62), 1 << 62, 0, 5], dtype=np.int64)
+        pool = np.concatenate((far, far + 256, np.arange(64)))
+        addrs = rng.choice(pool, size=600)
+        writes = rng.random(600) < 0.3
+        _compare(set_associative(256 * ways, ways, line), addrs, writes, chunk=97)
 
 
 class TestProgramLevelEquivalence:

@@ -11,7 +11,11 @@ line sizes and write policies.  Every pair must produce
   chunks through the same :func:`record_chunk` choke point, so a metric
   divergence means an engine lied about its work).
 
-The grid yields well over the required 200 trace/config pairs.
+The grid yields well over the required 200 trace/config pairs.  Targeted
+traces pin the engine's edge cases on top: 8/16-way multi-set caches,
+negative addresses, same-line runs split by a chunk boundary, XOR
+placement, and long two-line alternations that make the k >= 3
+stack-distance scan walk its longest windows.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import FastDirectMapped, FastSetAssociative, make_simulator
 from repro.cache.sim import ReferenceCache
+from repro.extensions.xorcache import (
+    XorDirectMapped,
+    XorSetAssociative,
+    make_xor_simulator,
+)
 from repro.obs import runtime as obs
 
 PAIRS_PER_CONFIG = 8
@@ -41,6 +50,8 @@ CONFIGS = [
     CacheConfig(1024, 16, 1, write_back=False),
     CacheConfig(1024, 16, 2, write_allocate=False, write_back=False),
     CacheConfig(512, 32, 16),  # a single 16-way set: fully associative
+    CacheConfig(4096, 16, 8),  # 32 sets of 8 ways
+    CacheConfig(4096, 16, 16),  # 16 sets of 16 ways
 ]
 
 
@@ -80,14 +91,15 @@ def make_trace(rng: np.random.Generator, config: CacheConfig, length: int):
     return addresses, writes
 
 
-def _run(sim, addresses, writes):
-    masks = []
-    for start in range(0, len(addresses), CHUNK):
-        masks.append(
-            sim.access_chunk(
-                addresses[start:start + CHUNK], writes[start:start + CHUNK]
-            )
-        )
+def _run(sim, addresses, writes, bounds=None):
+    """Feed a trace in chunks: every CHUNK accesses, or at ``bounds``."""
+    if bounds is None:
+        bounds = range(CHUNK, len(addresses), CHUNK)
+    edges = [0, *bounds, len(addresses)]
+    masks = [
+        sim.access_chunk(addresses[lo:hi], writes[lo:hi])
+        for lo, hi in zip(edges, edges[1:])
+    ]
     return np.concatenate(masks)
 
 
@@ -105,6 +117,52 @@ def clean_runtime():
     obs.reset()
 
 
+def assert_matches_reference(fast, config, addresses, writes, context,
+                             bounds=None, ref_addresses=None):
+    """``fast`` and a ReferenceCache agree on masks, stats and metrics.
+
+    ``ref_addresses`` feeds the reference a relabelled trace (the XOR
+    engines' placement expressed as modulo placement).
+    """
+    obs.reset()
+    obs.enable()
+    reference = ReferenceCache(config)
+    fast_mask = _run(fast, addresses, writes, bounds)
+    ref_mask = _run(
+        reference,
+        addresses if ref_addresses is None else ref_addresses,
+        writes, bounds,
+    )
+    obs.disable()
+
+    assert fast.stats == reference.stats, context
+    assert np.array_equal(fast_mask, ref_mask), context
+
+    label = fast.engine_label
+    if label == "reference":
+        # Non-default write policies fall back to the reference
+        # engine, so both simulators record under the same label.
+        assert _sim_counter("repro_sim_accesses_total", label) == (
+            2 * len(addresses)
+        ), context
+        assert _sim_counter("repro_sim_misses_total", label) == (
+            2 * fast.stats.misses
+        ), context
+    else:
+        for metric in (
+            "repro_sim_accesses_total",
+            "repro_sim_misses_total",
+            "repro_sim_hits_total",
+            "repro_sim_chunks_total",
+        ):
+            assert _sim_counter(metric, label) == _sim_counter(
+                metric, "reference"
+            ), f"{metric} diverged: {context}"
+        assert _sim_counter("repro_sim_accesses_total", label) == len(addresses)
+        assert _sim_counter("repro_sim_misses_total", label) == fast.stats.misses
+    return fast_mask
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
 def test_fast_engine_matches_reference(config):
     for pair in range(PAIRS_PER_CONFIG):
@@ -112,41 +170,121 @@ def test_fast_engine_matches_reference(config):
         seed = zlib.crc32(f"{_config_id(config)}/{pair}".encode())
         rng = np.random.default_rng(seed)
         addresses, writes = make_trace(rng, config, TRACE_LENGTH)
-
-        obs.reset()
-        obs.enable()
-        fast = make_simulator(config)
-        reference = ReferenceCache(config)
-        fast_mask = _run(fast, addresses, writes)
-        ref_mask = _run(reference, addresses, writes)
-        obs.disable()
-
         context = f"config={_config_id(config)} seed={seed}"
-        assert fast.stats == reference.stats, context
-        assert np.array_equal(fast_mask, ref_mask), context
+        assert_matches_reference(
+            make_simulator(config), config, addresses, writes, context
+        )
 
-        label = fast.engine_label
-        if label == "reference":
-            # Non-default write policies fall back to the reference
-            # engine, so both simulators record under the same label.
-            assert _sim_counter("repro_sim_accesses_total", label) == (
-                2 * len(addresses)
-            ), context
-            assert _sim_counter("repro_sim_misses_total", label) == (
-                2 * fast.stats.misses
-            ), context
-        else:
-            for metric in (
-                "repro_sim_accesses_total",
-                "repro_sim_misses_total",
-                "repro_sim_hits_total",
-                "repro_sim_chunks_total",
-            ):
-                assert _sim_counter(metric, label) == _sim_counter(
-                    metric, "reference"
-                ), f"{metric} diverged: {context}"
-            assert _sim_counter("repro_sim_accesses_total", label) == len(addresses)
-            assert _sim_counter("repro_sim_misses_total", label) == fast.stats.misses
+
+EDGE_CONFIGS = [
+    CacheConfig(1024, 16, 1),
+    CacheConfig(1024, 16, 2),
+    CacheConfig(2048, 16, 4),
+    CacheConfig(4096, 16, 8),
+    CacheConfig(4096, 32, 16),
+]
+
+
+@pytest.mark.parametrize("config", EDGE_CONFIGS, ids=_config_id)
+def test_negative_addresses(config):
+    """Out-of-bounds subscripts reach negative addresses; lines -1, -2,
+    ... are real lines and must not alias an empty way."""
+    for pair in range(4):
+        seed = zlib.crc32(f"negative/{_config_id(config)}/{pair}".encode())
+        rng = np.random.default_rng(seed)
+        addresses, writes = make_trace(rng, config, TRACE_LENGTH)
+        addresses = addresses - 3 * config.size_bytes
+        assert addresses.min() < 0
+        assert_matches_reference(
+            make_simulator(config), config, addresses, writes,
+            f"config={_config_id(config)} seed={seed}",
+        )
+
+
+@pytest.mark.parametrize("config", EDGE_CONFIGS, ids=_config_id)
+def test_chunk_boundary_splits_a_run(config):
+    """A same-line run cut by a chunk boundary and written on both sides
+    is one residency: evicting it costs one writeback (twice here)."""
+    line = config.line_bytes
+    stride = config.num_sets * line  # same set, next line
+    run = np.arange(8) * (line // 8 or 1)  # eight accesses to line 0
+    evict = np.arange(1, config.associativity + 2) * stride
+    addresses = np.concatenate((run, evict, run, evict)).astype(np.int64)
+    writes = np.zeros(len(addresses), dtype=bool)
+    writes[[2, 6]] = True  # one write before the cut, one after
+    second = len(run) + len(evict)
+    writes[[second + 1, second + 7]] = True
+    bounds = [4, second + 5]
+    fast = make_simulator(config)
+    assert_matches_reference(
+        fast, config, addresses, writes, _config_id(config), bounds=bounds
+    )
+    assert fast.stats.writebacks == 2
+
+
+@pytest.mark.parametrize("config", EDGE_CONFIGS[2:], ids=_config_id)
+@pytest.mark.parametrize("length", [64, 5000])
+def test_long_alternation_then_older_line(config, length):
+    """k >= 3 worst case for the stack-distance scan: a long two-line
+    alternation separates each return to older lines, so every return
+    looks back across the whole alternation to find few distinct lines."""
+    ways = config.associativity
+    stride = config.num_sets * config.line_bytes
+    older = np.arange(ways) * stride  # fill every way of set 0
+    pair = (ways + np.arange(length) % 2) * stride
+    chunk = np.concatenate((older, pair, older[::-1], pair, older))
+    other_set = chunk + config.line_bytes  # the same shape in set 1
+    addresses = np.concatenate((chunk, other_set, chunk)).astype(np.int64)
+    writes = (np.arange(len(addresses)) % 5) == 0
+    mask = assert_matches_reference(
+        make_simulator(config), config, addresses, writes,
+        _config_id(config),
+        bounds=[len(chunk), 2 * len(chunk) + length // 2],
+    )
+    # the newest older line survives the alternation: a hit found only by
+    # scanning back across all of it
+    assert not mask[ways + length]
+    assert not mask[len(chunk) + ways + length]
+
+
+def _xor_lines_as_modulo(config, addresses):
+    """Relabel addresses so modulo placement lands where XOR placement
+    does: keep each line's bits above the set index, replace the index
+    with the XOR-folded one.  A bijection on lines, so a ReferenceCache
+    fed the result is an XOR-placement reference."""
+    line_bytes = config.line_bytes
+    lines, offsets = np.divmod(addresses, line_bytes)
+    mask = config.num_sets - 1
+    bits = max(1, config.num_sets.bit_length() - 1)
+    folded = (lines ^ (lines >> bits)) & mask
+    return ((lines & ~mask) | folded) * line_bytes + offsets
+
+
+@pytest.mark.parametrize("config", EDGE_CONFIGS, ids=_config_id)
+def test_xor_engines_match_reference(config):
+    for pair in range(4):
+        seed = zlib.crc32(f"xor/{_config_id(config)}/{pair}".encode())
+        rng = np.random.default_rng(seed)
+        addresses, writes = make_trace(rng, config, TRACE_LENGTH)
+        addresses = addresses - config.size_bytes  # some negative lines
+        assert_matches_reference(
+            make_xor_simulator(config), config, addresses, writes,
+            f"config={_config_id(config)} seed={seed}",
+            ref_addresses=_xor_lines_as_modulo(config, addresses),
+        )
+
+
+def test_xor_engines_agree_at_one_way():
+    """At k = 1 the k-way XOR engine is the direct-mapped one."""
+    config = CacheConfig(1024, 16, 1)
+    rng = np.random.default_rng(11)
+    addresses, writes = make_trace(rng, config, TRACE_LENGTH)
+    direct = XorDirectMapped(config)
+    assoc = XorSetAssociative(config)
+    assert np.array_equal(
+        _run(direct, addresses, writes), _run(assoc, addresses, writes)
+    )
+    assert direct.stats == assoc.stats
 
 
 def test_grid_covers_at_least_200_pairs():

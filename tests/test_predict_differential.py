@@ -27,7 +27,8 @@ from repro.analysis.predict_corpus import (
     eligible_corpus,
     random_affine_case,
 )
-from repro.cache.config import CacheConfig
+from repro.bench.suites import get_spec
+from repro.cache.config import CacheConfig, base_cache
 from repro.cache.sim import ReferenceCache
 from repro.frontend import parse_program
 from repro.jit.corpus import random_case
@@ -91,6 +92,25 @@ class TestAgainstReferenceCacheDirectly:
         assert outcome.analyzable
         addrs, writes = trace_addresses(case.prog, case.layout, jit="off")
         ref = ReferenceCache(case.cache)
+        ref.access_chunk(addrs, writes)
+        assert outcome.prediction.stats == ref.stats
+
+
+class TestPaperKernelRegressions:
+    """Paper kernels the predictor once answered wrong, pinned against
+    the reference LRU on the paper's 16K caches."""
+
+    @pytest.mark.parametrize("assoc", [1, 2])
+    def test_apsi_cold_misses(self, assoc):
+        # A reversed self-cover direction in the fold horizon once let a
+        # fold through that dropped 84 cold misses here.
+        cache = base_cache().with_associativity(assoc)
+        prog = get_spec("apsi").build()
+        layout = original_layout(prog)
+        outcome = predict_misses(prog, layout, cache)
+        assert outcome.analyzable
+        addrs, writes = trace_addresses(prog, layout, jit="off")
+        ref = ReferenceCache(cache)
         ref.access_chunk(addrs, writes)
         assert outcome.prediction.stats == ref.stats
 

@@ -10,12 +10,14 @@ the conflict estimator.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import simulate_program
 from repro.analysis.predict import (
     BAILOUT_REASONS,
     DEFAULT_BUDGET,
+    _horizon,
     classify_program,
     predict_misses,
 )
@@ -100,6 +102,36 @@ class TestBailoutReport:
     def test_default_budget_admits_large_kernels(self):
         assert DEFAULT_BUDGET >= 1 << 22
         assert predict_jacobi(128).analyzable
+
+
+class TestHorizon:
+    """Block b of a footprint ``u0`` translating by ``w`` lines per block
+    touches ``u0 + b*w``; an offset is re-touched by an earlier block's
+    offset ``lag * w`` away, or never (forever fresh)."""
+
+    def test_upward_translation_covered_from_above(self):
+        # offset 0 of block b is offset 6 of block b-3; 6 is never covered
+        m, fresh = _horizon(np.array([0, 6]), 2, 10)
+        assert m == 3
+        assert fresh.tolist() == [6]
+
+    def test_downward_translation_covered_from_below(self):
+        # offset 6 of block b is offset 0 of block b-3; 0 is never covered
+        m, fresh = _horizon(np.array([0, 6]), -2, 10)
+        assert m == 3
+        assert fresh.tolist() == [0]
+
+    def test_residue_classes_are_independent(self):
+        m, fresh = _horizon(np.array([0, 1, 2, 4]), 2, 10)
+        assert m == 1
+        assert sorted(fresh.tolist()) == [1, 4]
+        m, fresh = _horizon(np.array([0, 1, 2, 4]), -2, 10)
+        assert sorted(fresh.tolist()) == [0, 1]
+
+    def test_lag_beyond_the_loop_stays_fresh(self):
+        m, fresh = _horizon(np.array([0, 6]), 2, 3)
+        assert m == 1
+        assert sorted(fresh.tolist()) == [0, 6]
 
 
 class TestProvenanceInvariants:
