@@ -8,7 +8,9 @@ in what it promises: the engine promises one outcome per request in one
 process's lifetime; the coordinator promises a campaign that *survives
 its own death*.
 
-Mechanics:
+Mechanics (the lease loop itself is
+:meth:`~repro.engine.core.ExperimentEngine.execute`, shared with
+``run-all``; this module supplies its campaign ledger):
 
 * every item dispatch takes a **lease** — journaled ``item_leased``,
   with a deadline of ``policy.timeout_s`` from now; a worker that blows
@@ -32,34 +34,24 @@ Mechanics:
 from __future__ import annotations
 
 import contextlib
-import heapq
 import os
 import pathlib
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.campaign.disktier import DiskTier
 from repro.campaign.plan import CampaignPlan, WorkItem
-from repro.engine.core import (
-    _mp_context,
-    _owned_workers,
-    _Worker,
-    validate_payload,
-)
-from repro.engine.faults import CampaignFaults, choose_corruption, unit_interval
+from repro.engine.core import EngineConfig, ExperimentEngine, Task, journal_guard
 from repro.engine.journal import RunJournal, read_journal
-from repro.engine.store import checksum  # noqa: F401  (re-export for tests)
 from repro.errors import CampaignError
 from repro.experiments.runner import pack_record, unpack_record
+from repro.guard.config import GuardConfig
 from repro.obs import runtime as obs
 
 TIER_FILENAME = "campaign.db"
 JOURNAL_FILENAME = "journal.jsonl"
 RESULTS_FILENAME = "results.json"
-
-_FALLBACK_TIMEOUT_FACTOR = 4.0  # the reference simulator is slower
 
 
 @dataclass
@@ -144,23 +136,6 @@ class CampaignReport:
         }
 
 
-@dataclass
-class _ItemTask:
-    index: int
-    item: WorkItem
-    simulator: str = "fast"
-    attempts: int = 0           # lease attempts in the current stage
-    total_attempts: int = 0     # across stages (fault plan / jitter index)
-    started_at: float = 0.0
-    total_time: float = 0.0
-    fallback_used: bool = False
-    last_error: Optional[str] = None
-
-    @property
-    def key(self) -> str:
-        return self.item.key
-
-
 class Coordinator:
     """Run (or resume) one campaign inside a work directory.
 
@@ -169,10 +144,10 @@ class Coordinator:
     and, after a successful run, the deterministic ``results.json``.
     ``pool`` is an optional :class:`~repro.engine.pool.WorkerPool` to
     lease warm workers from; without one the coordinator owns its
-    workers for the campaign's duration.  ``faults`` accepts either a
-    :class:`~repro.engine.faults.CampaignFaults` record or a unified
-    :class:`~repro.chaos.ChaosSchedule` (the ``--chaos`` config), which
-    is narrowed to its campaign-level faults here.
+    workers for the campaign's duration.  ``faults`` is a
+    :class:`~repro.chaos.ChaosSchedule` (the ``--chaos`` config): its
+    worker plan reaches every lease and its ``ckill`` kills the
+    coordinator after that many durable commits.
     """
 
     def __init__(
@@ -182,7 +157,7 @@ class Coordinator:
         pool=None,
         jobs: int = 4,
         allow_partial: bool = False,
-        faults: Optional[CampaignFaults] = None,
+        faults=None,
         journal_fsync: bool = False,
     ):
         self.plan = plan
@@ -190,11 +165,8 @@ class Coordinator:
         self.pool = pool
         self.jobs = max(1, jobs)
         self.allow_partial = allow_partial
-        if faults is not None and hasattr(faults, "campaign_faults"):
-            faults = faults.campaign_faults()  # a unified ChaosSchedule
         self.faults = faults
         self.journal_fsync = journal_fsync
-        self._commits = 0  # coordinator-kill fault trigger
 
     # -- paths ---------------------------------------------------------------
 
@@ -274,7 +246,14 @@ class Coordinator:
                     "campaign.execute",
                     campaign=self.plan.campaign_id, items=len(pending),
                 ):
-                    self._execute(pending, report, tier, journal)
+                    self._engine().execute(
+                        [
+                            Task(index=i, request=item.request,
+                                 key=item.key, item=item)
+                            for i, item in enumerate(pending)
+                        ],
+                        _CampaignLedger(report, tier, journal, self.faults),
+                    )
             report.duration = round(time.monotonic() - started, 6)
             journal.emit(
                 "campaign_finish",
@@ -349,290 +328,23 @@ class Coordinator:
 
     # -- execution -----------------------------------------------------------
 
-    def _execute(self, items: List[WorkItem], report, tier, journal) -> None:
-        policy = self.plan.spec.policy
-        seed = self.plan.spec.seed
-        guard_record = self.plan.spec.guard
-        tasks = [
-            _ItemTask(index=i, item=item) for i, item in enumerate(items)
-        ]
-        stack = contextlib.ExitStack()
-        if self.pool is not None:
-            ctx = self.pool.ctx
-            workers = stack.enter_context(
-                self.pool.leased(min(self.jobs, len(tasks)))
-            )
-        else:
-            ctx = _mp_context()
-            workers = stack.enter_context(
-                _owned_workers(ctx, min(self.jobs, len(tasks)))
-            )
-        ready: List[_ItemTask] = list(tasks)
-        delayed: List = []  # heap of (ready_time, tiebreak, task)
-        seq = 0
-        remaining = len(tasks)
-
-        def finish(task: _ItemTask, status, stats=None, error=None) -> None:
-            nonlocal remaining
-            report.outcomes[task.item.item_id] = ItemOutcome(
-                item=task.item, status=status, stats=stats,
-                attempts=task.total_attempts,
-                duration=round(task.total_time, 6),
-                error=error,
-            )
-            remaining -= 1
-
-        def commit(task: _ItemTask, stats, status: str) -> None:
-            # Commit order is the resume invariant: the durable tier
-            # first, the journal second.  A crash between the two is
-            # recovered by the tier scan, never by trusting the journal.
-            tier.put(task.key, pack_record(stats, status))
-            self._commits += 1
-            obs.counter_add(
-                "repro_campaign_commits_total", 1,
-                "item results durably committed to the disk tier",
-            )
-            self._maybe_kill_coordinator()
-            journal.emit(
-                "item_completed", item=task.item.item_id, status=status,
-                attempts=task.total_attempts,
-                duration=round(task.total_time, 6),
-            )
-            finish(task, status, stats=stats)
-
-        def release(task: _ItemTask, reason: str, error: str) -> None:
-            nonlocal seq
-            now = time.monotonic()
-            task.total_time += now - task.started_at
-            task.last_error = error
-            journal.emit(
-                "item_released", item=task.item.item_id, reason=reason,
-                attempt=task.total_attempts,
-            )
-            obs.counter_add(
-                "repro_campaign_items_released_total", 1,
-                "leases broken before completion, by reason", reason=reason,
-            )
-            if task.attempts <= policy.retries:
-                delay = _backoff(policy, seed, task)
-                obs.counter_add(
-                    "repro_campaign_retries_total", 1,
-                    "item re-leases scheduled after a broken lease",
-                )
-                seq += 1
-                heapq.heappush(delayed, (now + delay, seq, task))
-            elif policy.fallback and not task.fallback_used:
-                task.fallback_used = True
-                task.simulator = "reference"
-                task.attempts = 0
-                obs.counter_add(
-                    "repro_campaign_fallbacks_total", 1,
-                    "items degraded to the reference simulator",
-                )
-                seq += 1
-                heapq.heappush(delayed, (now, seq, task))
-            else:
-                journal.emit(
-                    "item_failed", item=task.item.item_id,
-                    error=task.last_error, attempts=task.total_attempts,
-                )
-                finish(task, "failed", error=task.last_error)
-
-        def handle_result(worker: _Worker, msg) -> None:
-            task = worker.task
-            worker.task = None
-            worker.deadline = float("inf")
-            if msg[0] == "error":
-                release(task, "error", str(msg[2]))
-                return
-            payload, digest = msg[2], msg[3]
-            if len(msg) > 4 and msg[4] is not None:
-                try:
-                    obs.merge_snapshot(msg[4])
-                except Exception:  # never fail an item over metrics
-                    pass
-            stats = validate_payload(payload, digest)
-            if stats is None:
-                release(
-                    task, "corrupt_payload",
-                    "result payload failed checksum",
-                )
-                return
-            task.total_time += time.monotonic() - task.started_at
-            worker_guard = msg[5] if len(msg) > 5 else None
-            worker_tier = msg[6] if len(msg) > 6 else None
-            self._journal_guard(journal, task, worker_guard)
-            status = (
-                "rolled_back"
-                if worker_guard and worker_guard.get("status") == "rolled_back"
-                else "degraded" if task.simulator == "reference"
-                else "analytic" if worker_tier == "analytic"
-                else "ok"
-            )
-            commit(task, stats, status)
-
-        try:
-            while remaining > 0:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    ready.append(heapq.heappop(delayed)[2])
-                for worker in workers:
-                    if worker.task is None and ready:
-                        task = ready.pop(0)
-                        if not self._lease(worker, task, journal, guard_record):
-                            self._replace(workers, worker, ctx)
-                            release(
-                                task, "dispatch",
-                                "worker unreachable at dispatch",
-                            )
-                busy = [w for w in workers if w.task is not None]
-                if not busy:
-                    if delayed:
-                        time.sleep(
-                            min(0.25, max(0.001, delayed[0][0] - time.monotonic()))
-                        )
-                        continue
-                    break  # pragma: no cover - no work left but remaining>0
-                horizon = min(w.deadline for w in busy)
-                if delayed:
-                    horizon = min(horizon, delayed[0][0])
-                wait_for = min(0.5, max(0.005, horizon - time.monotonic()))
-                for conn in _conn_wait([w.conn for w in busy], timeout=wait_for):
-                    worker = next((w for w in workers if w.conn is conn), None)
-                    if worker is None or worker.task is None:
-                        continue  # replaced or already handled
-                    try:
-                        msg = worker.conn.recv()
-                    except (EOFError, OSError):
-                        task = worker.task
-                        code = worker.proc.exitcode
-                        self._replace(workers, worker, ctx)
-                        release(
-                            task, "crash",
-                            f"worker died (exit code {code}) holding the lease",
-                        )
-                        continue
-                    except Exception as exc:
-                        # torn pipe write: a frame arrived but does not
-                        # decode — same containment as a worker crash
-                        task = worker.task
-                        self._replace(workers, worker, ctx)
-                        release(
-                            task, "crash",
-                            "worker shipped an undecodable message "
-                            f"({type(exc).__name__}: torn write?)",
-                        )
-                        continue
-                    handle_result(worker, msg)
-                # heartbeat + deadline sweep: a lease is only as live as
-                # its worker process and its deadline
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.task is None:
-                        continue
-                    if now >= worker.deadline:
-                        task = worker.task
-                        budget = worker.deadline - task.started_at
-                        self._replace(workers, worker, ctx)
-                        release(
-                            task, "timeout",
-                            f"lease deadline ({budget:.1f}s) exceeded; "
-                            "worker killed",
-                        )
-                    elif not worker.proc.is_alive():
-                        task = worker.task
-                        self._replace(workers, worker, ctx)
-                        release(
-                            task, "crash",
-                            "worker heartbeat lost (process dead)",
-                        )
-        finally:
-            stack.close()
-
-    def _lease(self, worker: _Worker, task: _ItemTask, journal, guard) -> bool:
-        policy = self.plan.spec.policy
-        task.attempts += 1
-        task.total_attempts += 1
-        timeout = policy.timeout_s * (
-            _FALLBACK_TIMEOUT_FACTOR if task.simulator == "reference" else 1.0
+    def _engine(self) -> ExperimentEngine:
+        """The shared lease scheduler under this campaign's policy."""
+        spec = self.plan.spec
+        policy = spec.policy
+        config = EngineConfig(
+            jobs=self.jobs,
+            timeout=policy.timeout_s,
+            retries=policy.retries,
+            backoff_base=policy.backoff_base_s,
+            backoff_cap=policy.backoff_cap_s,
+            fallback=policy.fallback,
+            seed=spec.seed,
+            faults=self.faults.worker if self.faults else None,
+            guard=GuardConfig.from_record(spec.guard),
+            tier=policy.tier,
         )
-        injected = None
-        worker_faults = self.faults.worker if self.faults else None
-        if worker_faults is not None:
-            injected = worker_faults.decide(task.key, task.total_attempts)
-        fault = None
-        if injected == "timeout":
-            fault = ("timeout", timeout * 3 + 1.0)
-        elif injected == "layout":
-            fault = (
-                "layout",
-                choose_corruption(
-                    worker_faults.seed, task.key, task.total_attempts
-                ),
-            )
-        elif injected == "slow":
-            fault = ("slow", worker_faults.slow_s)
-        elif injected is not None:
-            fault = (injected, None)
-        task.started_at = time.monotonic()
-        worker.task = task
-        worker.deadline = task.started_at + timeout
-        journal.emit(
-            "item_leased", item=task.item.item_id,
-            attempt=task.total_attempts, worker=worker.proc.pid,
-            simulator=task.simulator,
-            **({"injected": injected} if injected else {}),
-        )
-        obs.counter_add(
-            "repro_campaign_items_leased_total", 1,
-            "item leases granted to workers",
-        )
-        collect = obs.is_enabled()
-        try:
-            worker.conn.send(
-                (
-                    "task", task.index, task.item.request, task.simulator,
-                    fault, collect, guard, "auto", policy.tier,
-                )
-            )
-        except (BrokenPipeError, OSError):  # pragma: no cover - instant death
-            worker.task = None
-            worker.deadline = float("inf")
-            return False
-        return True
-
-    @staticmethod
-    def _journal_guard(journal, task: _ItemTask, guard_record) -> None:
-        if not guard_record:
-            return
-        for violation in guard_record.get("violations", ()):
-            journal.emit(
-                "guard_violation", item=task.item.item_id, run=task.key,
-                **violation,
-            )
-        if guard_record.get("status") == "rolled_back":
-            journal.emit(
-                "guard_rollback", item=task.item.item_id, run=task.key,
-            )
-
-    def _replace(self, workers: List[_Worker], dead: _Worker, ctx) -> None:
-        dead.kill()
-        workers[workers.index(dead)] = _Worker(ctx, slot=dead.slot)
-
-    def _maybe_kill_coordinator(self) -> None:
-        """Chaos hook: die unceremoniously after the Nth durable commit.
-
-        Exits *between* the tier commit and its journal event — the most
-        adversarial instant, because the journal now under-reports what
-        the tier holds.  Resume must reconcile from the tier.
-        """
-        faults = self.faults
-        if (
-            faults is not None
-            and faults.coordinator_kill_after is not None
-            and self._commits >= faults.coordinator_kill_after
-        ):
-            os._exit(137)
+        return ExperimentEngine(config, pool=self.pool)
 
     def _write_results(self, report: CampaignReport) -> None:
         import json
@@ -646,12 +358,89 @@ class Coordinator:
         os.replace(tmp, self.results_path)
 
 
-def _backoff(policy, seed: int, task: _ItemTask) -> float:
-    if policy.backoff_base_s <= 0:
-        return 0.0
-    raw = min(
-        policy.backoff_cap_s,
-        policy.backoff_base_s * 2 ** (task.attempts - 1),
-    )
-    jitter = 0.5 + unit_interval(seed, task.key, task.total_attempts)
-    return raw * jitter
+
+class _CampaignLedger:
+    """The coordinator's record: item journal, durable commit, statuses."""
+
+    def __init__(self, report: CampaignReport, tier: DiskTier, journal, faults):
+        self.report = report
+        self.tier = tier
+        self.journal = journal
+        self.kill_after = faults.coordinator_kill_after if faults else None
+        self.commits = 0
+
+    def leased(self, task: Task, pid: int, injected: Optional[str]) -> None:
+        self.journal.emit(
+            "item_leased", item=task.item.item_id,
+            attempt=task.total_attempts, worker=pid,
+            simulator=task.simulator,
+            **({"injected": injected} if injected else {}),
+        )
+        obs.counter_add(
+            "repro_campaign_items_leased_total", 1,
+            "item leases granted to workers",
+        )
+
+    def released(self, task: Task, reason: str) -> None:
+        self.journal.emit(
+            "item_released", item=task.item.item_id, reason=reason,
+            attempt=task.total_attempts,
+        )
+        obs.counter_add(
+            "repro_campaign_items_released_total", 1,
+            "leases broken before completion, by reason", reason=reason,
+        )
+
+    def retrying(self, task: Task, delay: float) -> None:
+        obs.counter_add(
+            "repro_campaign_retries_total", 1,
+            "item re-leases scheduled after a broken lease",
+        )
+
+    def degrading(self, task: Task) -> None:
+        obs.counter_add(
+            "repro_campaign_fallbacks_total", 1,
+            "items degraded to the reference simulator",
+        )
+
+    def failed(self, task: Task) -> None:
+        self.journal.emit(
+            "item_failed", item=task.item.item_id,
+            error=task.last_error, attempts=task.total_attempts,
+        )
+        self._finish(task, "failed", error=task.last_error)
+
+    def completed(self, task: Task, status, stats, guard, tier) -> None:
+        journal_guard(
+            self.journal, guard, {"item": task.item.item_id, "run": task.key}
+        )
+        if status == "ok" and tier == "analytic":
+            status = "analytic"
+        # Commit order is the resume invariant: the durable tier first,
+        # the journal second.  A crash between the two is recovered by
+        # the tier scan, never by trusting the journal.
+        self.tier.put(task.key, pack_record(stats, status))
+        self.commits += 1
+        obs.counter_add(
+            "repro_campaign_commits_total", 1,
+            "item results durably committed to the disk tier",
+        )
+        if self.kill_after is not None and self.commits >= self.kill_after:
+            # Chaos: die between the tier commit and its journal event —
+            # the most adversarial instant, because the journal now
+            # under-reports what the tier holds.  Resume must reconcile
+            # from the tier.
+            os._exit(137)
+        self.journal.emit(
+            "item_completed", item=task.item.item_id, status=status,
+            attempts=task.total_attempts,
+            duration=round(task.total_time, 6),
+        )
+        self._finish(task, status, stats=stats)
+
+    def _finish(self, task: Task, status: str, stats=None, error=None) -> None:
+        self.report.outcomes[task.item.item_id] = ItemOutcome(
+            item=task.item, status=status, stats=stats,
+            attempts=task.total_attempts,
+            duration=round(task.total_time, 6), error=error,
+        )

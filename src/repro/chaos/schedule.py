@@ -20,8 +20,11 @@ One schedule file drives chaos everywhere::
   depth to every admission decision (as if that many requests were
   already queued), and ``clock_skew_s`` shifts the resilience clock
   (:mod:`repro.chaos.clock`) while the service runs.
-* ``campaign`` carries the coordinator-level extras that
-  :class:`~repro.engine.faults.CampaignFaults` already models.
+* ``campaign`` carries the coordinator-level extras: ``ckill=N`` hard-
+  exits the coordinator right after its Nth durable commit (between the
+  disk-tier write and the journal event, the most adversarial instant),
+  and ``tier_corrupt`` is the fraction of disk-tier rows
+  :func:`~repro.engine.faults.corrupt_disk_tier` damages between runs.
 
 Unknown keys are rejected loudly — a typo'd fault that silently never
 fires would make a chaos suite prove nothing.
@@ -34,7 +37,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.engine.faults import FAULT_KINDS, CampaignFaults, FaultPlan
+from repro.engine.faults import FAULT_KINDS, FaultPlan
 from repro.errors import ConfigError
 
 #: schedule-level worker fault keys (``hang`` aliases engine ``timeout``)
@@ -78,18 +81,24 @@ class ChaosSchedule:
     coordinator_kill_after: Optional[int] = None
     tier_corrupt: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.tier_corrupt <= 1.0:
+            raise ConfigError(
+                f"chaos schedule campaign.tier_corrupt={self.tier_corrupt} "
+                "outside [0, 1]"
+            )
+        if (
+            self.coordinator_kill_after is not None
+            and self.coordinator_kill_after < 1
+        ):
+            raise ConfigError(
+                f"chaos schedule campaign.ckill={self.coordinator_kill_after} "
+                "must be >= 1"
+            )
+
     def engine_plan(self) -> Optional[FaultPlan]:
         """The worker-fault plan engine sweeps should inject (or None)."""
         return self.worker
-
-    def campaign_faults(self) -> CampaignFaults:
-        """The coordinator-level fault record for campaign runs."""
-        return CampaignFaults(
-            worker=self.worker,
-            coordinator_kill_after=self.coordinator_kill_after,
-            tier_corrupt=self.tier_corrupt,
-            seed=self.seed,
-        )
 
     def describe(self) -> dict:
         """JSON-safe summary (for logs and the SLO harness report)."""

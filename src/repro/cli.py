@@ -12,7 +12,8 @@ Usage (``python -m repro <command>``):
 * ``bench`` — list the registered benchmark programs, or run one.
 * ``figure NAME`` — regenerate one of the paper's tables/figures.
 * ``run-all`` — run a whole figure set through the fault-tolerant
-  parallel engine (``--jobs/--timeout/--retries/--inject-faults``).
+  parallel engine (``--jobs/--timeout/--retries``; ``--chaos SCHEDULE``
+  injects the worker faults of a :mod:`repro.chaos` schedule file).
 * ``stats FILE`` — render a metrics file written by ``--metrics``.
 * ``lint [FILES...]`` — static cache-hazard and IR-correctness analysis
   over DSL kernels and/or the registered benchmarks
@@ -53,6 +54,7 @@ from typing import Dict, List, Optional
 from repro.cache.config import CacheConfig
 from repro.errors import (
     CampaignError,
+    ConfigError,
     EngineError,
     GuardError,
     LintError,
@@ -533,11 +535,10 @@ def cmd_figure(args) -> int:
 def cmd_run_all(args) -> int:
     """Run a figure set through the fault-tolerant parallel engine."""
     from repro.engine.core import EngineConfig
-    from repro.engine.faults import parse_fault_spec
     from repro.engine.plan import DEFAULT_FIGURES, run_figures
     from repro.guard import runtime as guard_runtime
 
-    faults = parse_fault_spec(args.inject_faults) if args.inject_faults else None
+    faults = _run_all_faults(args.chaos) if args.chaos else None
     config = EngineConfig(
         jobs=args.jobs,
         timeout=args.timeout,
@@ -687,27 +688,38 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _run_all_faults(path):
+    """The worker-fault plan of a ``run-all --chaos`` schedule file.
+
+    ``run-all`` is neither a service nor a campaign, so a schedule that
+    sets serve or campaign faults is refused rather than half-applied.
+    """
+    from repro.chaos import load_schedule
+
+    schedule = load_schedule(path)
+    campaign = (
+        schedule.coordinator_kill_after is not None or schedule.tier_corrupt
+    )
+    for section, active in (
+        ("serve", schedule.serve.active), ("campaign", campaign),
+    ):
+        if active:
+            raise ConfigError(
+                f"run-all --chaos: the schedule's {section!r} section has "
+                "no effect on run-all; only 'worker' faults apply"
+            )
+    return schedule.engine_plan()
+
+
 def _campaign_run(args, resume: bool) -> int:
     """Shared body of ``campaign run`` and ``campaign resume``."""
     from repro.campaign import Coordinator, compile_plan
     from repro.campaign.spec import spec_from_file
-    from repro.engine.faults import parse_campaign_fault_spec
+    from repro.chaos import load_schedule
 
     spec = spec_from_file(args.spec)
     plan = compile_plan(spec)
-    if args.inject_faults and args.chaos:
-        raise UsageError(
-            "--inject-faults and --chaos are mutually exclusive; the "
-            "--chaos schedule already carries the worker fault plan"
-        )
-    faults = (
-        parse_campaign_fault_spec(args.inject_faults)
-        if args.inject_faults else None
-    )
-    if args.chaos:
-        from repro.chaos import load_schedule
-
-        faults = load_schedule(args.chaos)
+    faults = load_schedule(args.chaos) if args.chaos else None
     coordinator = Coordinator(
         plan,
         args.workdir,
@@ -888,9 +900,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run wall-clock budget in seconds (default 300)")
     p.add_argument("--retries", type=int, default=2,
                    help="extra attempts per run before fallback (default 2)")
-    p.add_argument("--inject-faults", metavar="SPEC",
-                   help="chaos testing, e.g. timeout=0.1,kill=0.05,"
-                        "corrupt=0.05,seed=7")
+    p.add_argument("--chaos", metavar="SCHEDULE",
+                   help="deterministic fault schedule as a JSON file (the "
+                        "repro.chaos format; only its 'worker' section "
+                        "applies to run-all)")
     p.add_argument("--cache-dir",
                    help="crash-safe result store directory (makes the sweep "
                         "resumable)")
@@ -1003,14 +1016,10 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--allow-partial", action="store_true",
                         help="exit 1 with partial results instead of "
                              "exit 10 when items exhaust their retries")
-        cp.add_argument("--inject-faults", metavar="SPEC",
-                        help="deterministic chaos, e.g. "
-                             "'kill=0.1,corrupt=0.05,seed=7,ckill=3,"
-                             "tier_corrupt=0.25' (testing only)")
         cp.add_argument("--chaos", metavar="SCHEDULE",
                         help="deterministic fault schedule as a JSON "
-                             "file (the unified repro.chaos format; "
-                             "mutually exclusive with --inject-faults)")
+                             "file (the repro.chaos format: worker "
+                             "faults plus campaign ckill; testing only)")
         cp.add_argument("--fsync-journal", action="store_true",
                         help="fsync the journal after every event "
                              "(slower, survives power loss)")

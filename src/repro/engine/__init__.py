@@ -14,7 +14,7 @@ Submodules:
 runner, which itself persists through :mod:`repro.engine.store`.
 """
 
-from repro.engine.faults import FaultPlan, InjectedFault, parse_fault_spec
+from repro.engine.faults import FaultPlan, InjectedFault
 from repro.engine.journal import NullJournal, RunJournal, read_journal
 from repro.engine.store import CrashSafeStore, checksum
 
@@ -33,7 +33,7 @@ _LAZY = {
 
 __all__ = [
     "CrashSafeStore", "FaultPlan", "InjectedFault", "NullJournal",
-    "RunJournal", "checksum", "parse_fault_spec", "read_journal",
+    "RunJournal", "checksum", "read_journal",
     *sorted(_LAZY),
 ]
 

@@ -21,10 +21,9 @@ fails can be replayed exactly.  Kinds:
   pipe message (a truncated pickle); the parent must treat the
   undecodable message as a crash and retry, never hang or die.
 
-:class:`CampaignFaults` layers coordinator-level chaos on top for
-:mod:`repro.campaign`: a worker-fault plan plus a deterministic
-coordinator kill (``ckill=N`` — hard exit after the Nth durable commit)
-and disk-tier row corruption (:func:`corrupt_disk_tier`).
+Plans are usually built from a :class:`~repro.chaos.ChaosSchedule`
+(the ``--chaos`` file), whose ``campaign`` section adds a coordinator
+kill and disk-tier row corruption (:func:`corrupt_disk_tier`).
 
 :func:`corrupt_store_entries` complements the plan by damaging entries of
 an on-disk result store, exercising the store's quarantine path;
@@ -93,121 +92,6 @@ class FaultPlan:
             if u < edge:
                 return kind
         return None
-
-
-def parse_fault_spec(spec: str) -> FaultPlan:
-    """Parse a CLI spec like ``"timeout=0.1,kill=0.05,corrupt=0.05,seed=7"``."""
-    kwargs = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigError(f"fault spec expects KIND=RATE, got {item!r}")
-        name, _, value = item.partition("=")
-        name = name.strip()
-        try:
-            if name == "seed":
-                kwargs["seed"] = int(value)
-            elif name == "slow_s":
-                kwargs["slow_s"] = float(value)
-            elif name in FAULT_KINDS:
-                kwargs[name] = float(value)
-            else:
-                raise ConfigError(
-                    f"unknown fault kind {name!r}; known: "
-                    f"{', '.join(FAULT_KINDS)}, slow_s, seed"
-                )
-        except ValueError:
-            raise ConfigError(f"bad fault value {value!r} for {name!r}") from None
-    return FaultPlan(**kwargs)
-
-
-@dataclass(frozen=True)
-class CampaignFaults:
-    """Fault schedule for campaign chaos tests.
-
-    ``worker`` injects per-(item, attempt) worker faults exactly like an
-    engine :class:`FaultPlan`.  ``coordinator_kill_after`` hard-exits the
-    coordinator process (``os._exit(137)``) right after its Nth durable
-    commit — between the disk-tier write and the journal event, the
-    most adversarial instant — to prove resume correctness.
-    ``tier_corrupt`` is the fraction of disk-tier rows
-    :func:`corrupt_disk_tier` should damage between runs.
-    """
-
-    worker: Optional[FaultPlan] = None
-    coordinator_kill_after: Optional[int] = None
-    tier_corrupt: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.tier_corrupt <= 1.0:
-            raise ConfigError(
-                f"tier_corrupt={self.tier_corrupt} outside [0, 1]"
-            )
-        if (
-            self.coordinator_kill_after is not None
-            and self.coordinator_kill_after < 1
-        ):
-            raise ConfigError(
-                f"ckill={self.coordinator_kill_after} must be >= 1"
-            )
-
-
-def parse_campaign_fault_spec(spec: str) -> CampaignFaults:
-    """Parse a campaign fault spec.
-
-    Worker fault kinds use :func:`parse_fault_spec` syntax; two extra
-    keys drive the coordinator-level chaos::
-
-        "kill=0.1,corrupt=0.05,seed=7,ckill=3,tier_corrupt=0.25"
-
-    ``ckill=N`` kills the coordinator after its Nth commit;
-    ``tier_corrupt=F`` asks :func:`corrupt_disk_tier` to damage fraction
-    ``F`` of committed rows (applied by the chaos harness, not by the
-    coordinator itself).
-    """
-    worker_parts = []
-    kill_after: Optional[int] = None
-    tier_corrupt = 0.0
-    seed = 0
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigError(f"fault spec expects KIND=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
-        name = name.strip()
-        try:
-            if name == "ckill":
-                kill_after = int(value)
-            elif name == "tier_corrupt":
-                tier_corrupt = float(value)
-            elif name == "seed":
-                seed = int(value)
-                worker_parts.append(item)
-            elif name == "slow_s" or name in FAULT_KINDS:
-                worker_parts.append(item)
-            else:
-                raise ConfigError(
-                    f"unknown campaign fault key {name!r}; known: "
-                    f"{', '.join(FAULT_KINDS)}, seed, ckill, tier_corrupt"
-                )
-        except ValueError:
-            raise ConfigError(f"bad fault value {value!r} for {name!r}") from None
-    worker = parse_fault_spec(",".join(worker_parts)) if worker_parts else None
-    if worker is not None and not any(
-        getattr(worker, kind) for kind in FAULT_KINDS
-    ):
-        worker = None  # seed-only spec: no worker faults to inject
-    return CampaignFaults(
-        worker=worker,
-        coordinator_kill_after=kill_after,
-        tier_corrupt=tier_corrupt,
-        seed=seed,
-    )
 
 
 def corrupt_disk_tier(path, fraction: float, seed: int = 0) -> int:

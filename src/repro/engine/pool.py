@@ -122,7 +122,7 @@ class WorkerPool:
 
         Yields the leased worker list and releases *that same list
         object* on exit — callers that replace a crashed worker must
-        mutate the yielded list in place (as the engine's ``_replace``
+        mutate the yielded list in place (as the engine's scheduler
         does) so the replacement, not the corpse, is returned to the
         pool.  An exception inside the block still releases every
         worker, so a crashing sweep can never leak leases until the

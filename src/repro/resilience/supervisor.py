@@ -214,8 +214,6 @@ class PoolSupervisor:
         Returns ``{"pinged": n, "wedged": n, "respawned": n}`` so tests
         can assert detection-within-one-interval without timing games.
         """
-        from multiprocessing.connection import wait as conn_wait
-
         with self._lock:
             if self.pool.closed:
                 raise EngineError("worker pool is closed")
@@ -241,18 +239,16 @@ class PoolSupervisor:
             import time as _time
 
             deadline = _time.monotonic() + self.ping_timeout_s
-            while pending:
-                remaining = deadline - _time.monotonic()
-                if remaining <= 0:
-                    break
-                for conn in conn_wait(list(pending), timeout=remaining):
-                    worker = pending.pop(conn)
-                    try:
-                        msg = conn.recv()
-                        if msg[0] != "pong":  # pragma: no cover - protocol drift
-                            wedged.append(worker)
-                    except Exception:
-                        dead.append(worker)
+            for conn in list(pending):
+                if not conn.poll(max(0.0, deadline - _time.monotonic())):
+                    continue
+                worker = pending.pop(conn)
+                try:
+                    msg = conn.recv()
+                    if msg[0] != "pong":  # pragma: no cover - protocol drift
+                        wedged.append(worker)
+                except Exception:
+                    dead.append(worker)
             wedged.extend(pending.values())
             for worker in wedged:
                 self._wedged_total += 1

@@ -74,6 +74,13 @@ def run_cli(action, spec_path, workdir, *extra, expect=0, timeout=180):
     return out
 
 
+def ckill(directory, after):
+    """``--chaos`` arguments for a coordinator kill after N commits."""
+    path = directory / f"ckill{after}.json"
+    path.write_text(json.dumps({"campaign": {"ckill": after}}))
+    return "--chaos", str(path)
+
+
 def committed_items(workdir):
     return [
         row["item"] for row in read_journal(workdir / "journal.jsonl")
@@ -93,7 +100,7 @@ def leased_after_resume(workdir):
 
 class TestCoordinatorKill:
     def test_ckill_dies_with_kill_exit_code(self, spec_path, tmp_path):
-        run_cli("run", spec_path, tmp_path, "--inject-faults", "ckill=1",
+        run_cli("run", spec_path, tmp_path, *ckill(spec_path.parent, 1),
                 expect=KILL_EXIT)
         # the kill fires between tier commit and journal emit, so the
         # journal may lag the tier by exactly the in-flight item
@@ -103,7 +110,7 @@ class TestCoordinatorKill:
     def test_resume_completes_byte_identical(
         self, spec_path, tmp_path, reference
     ):
-        run_cli("run", spec_path, tmp_path, "--inject-faults", "ckill=2",
+        run_cli("run", spec_path, tmp_path, *ckill(spec_path.parent, 2),
                 expect=KILL_EXIT)
         durably_committed = committed_items(tmp_path)
         run_cli("resume", spec_path, tmp_path)
@@ -114,9 +121,9 @@ class TestCoordinatorKill:
 
     def test_double_kill_then_resume(self, spec_path, tmp_path, reference):
         """Crash the original run AND the first resume; second finishes."""
-        run_cli("run", spec_path, tmp_path, "--inject-faults", "ckill=1",
+        run_cli("run", spec_path, tmp_path, *ckill(spec_path.parent, 1),
                 expect=KILL_EXIT)
-        run_cli("resume", spec_path, tmp_path, "--inject-faults", "ckill=1",
+        run_cli("resume", spec_path, tmp_path, *ckill(spec_path.parent, 1),
                 expect=KILL_EXIT)
         run_cli("resume", spec_path, tmp_path)
         assert (tmp_path / "results.json").read_bytes() == reference

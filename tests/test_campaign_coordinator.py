@@ -1,5 +1,6 @@
 """Campaign coordinator: lease loop, durable commits, resume semantics."""
 
+import collections
 import json
 
 import pytest
@@ -8,8 +9,10 @@ from repro.campaign.coordinator import Coordinator
 from repro.campaign.disktier import DiskTier
 from repro.campaign.plan import compile_plan
 from repro.campaign.spec import parse_spec
-from repro.engine.faults import CampaignFaults, FaultPlan
-from repro.engine.journal import read_journal
+from repro.chaos import ChaosSchedule
+from repro.engine.core import EngineConfig, ExperimentEngine
+from repro.engine.faults import FaultPlan
+from repro.engine.journal import RunJournal, read_journal
 from repro.errors import CampaignError
 
 pytestmark = [pytest.mark.engine]
@@ -114,8 +117,8 @@ class TestFaults:
         plan = small_plan()
         ref_dir, chaos_dir = tmp_path / "ref", tmp_path / "chaos"
         Coordinator(plan, ref_dir, jobs=2).run()
-        faults = CampaignFaults(
-            worker=FaultPlan(kill=0.3, error=0.2, seed=7)
+        faults = ChaosSchedule(
+            seed=7, worker=FaultPlan(kill=0.3, error=0.2, seed=7)
         )
         coordinator = Coordinator(plan, chaos_dir, jobs=2, faults=faults)
         assert coordinator.run().ok
@@ -131,7 +134,7 @@ class TestFaults:
             benchmarks=["dot"],
             policy={"backoff_base_s": 0.0, "retries": 0, "fallback": False},
         )
-        faults = CampaignFaults(worker=FaultPlan(error=1.0, seed=3))
+        faults = ChaosSchedule(seed=3, worker=FaultPlan(error=1.0, seed=3))
         with pytest.raises(CampaignError, match="failed"):
             Coordinator(plan, tmp_path, jobs=1, faults=faults).run()
         assert events(tmp_path, "item_failed")
@@ -141,7 +144,7 @@ class TestFaults:
             benchmarks=["dot"],
             policy={"backoff_base_s": 0.0, "retries": 0, "fallback": False},
         )
-        faults = CampaignFaults(worker=FaultPlan(error=1.0, seed=3))
+        faults = ChaosSchedule(seed=3, worker=FaultPlan(error=1.0, seed=3))
         report = Coordinator(
             plan, tmp_path, jobs=1, allow_partial=True, faults=faults
         ).run()
@@ -149,3 +152,50 @@ class TestFaults:
         # the results document still exists, just without the failures
         doc = json.loads((tmp_path / "results.json").read_text())
         assert doc["results"] == {}
+
+
+class TestSharedLadder:
+    """``run_many`` and a campaign climb one retry -> fallback -> fail
+    ladder: the same fault plan gives every key the same history."""
+
+    def test_same_fault_plan_same_ladder(self, tmp_path):
+        plan = small_plan(
+            heuristics=["pad", "original"],
+            caches=[{"size": "8K", "line": 32}, {"size": "4K", "line": 32}],
+            policy={"backoff_base_s": 0.0, "timeout_s": 30.0, "retries": 1},
+        )
+        faults = FaultPlan(kill=0.3, error=0.3, seed=4)
+        report = Coordinator(
+            plan, tmp_path / "campaign", jobs=2, allow_partial=True,
+            faults=ChaosSchedule(seed=4, worker=faults),
+        ).run()
+        sweep_journal = tmp_path / "sweep.jsonl"
+        config = EngineConfig(
+            jobs=2, timeout=30.0, retries=1, backoff_base=0.0, faults=faults
+        )
+        outcomes = ExperimentEngine(config).run_many(
+            [item.request for item in plan.items],
+            journal=RunJournal(sweep_journal),
+        )
+
+        def attempts(rows, event, id_field):
+            history = collections.defaultdict(list)
+            for row in rows:
+                if row.get("event") == event:
+                    history[row[id_field]].append(
+                        (row["attempt"], row["simulator"], row.get("injected"))
+                    )
+            return history
+
+        swept = attempts(read_journal(sweep_journal), "start", "run")
+        leased = attempts(
+            events(tmp_path / "campaign"), "item_leased", "item"
+        )
+        for item, outcome in zip(plan.items, outcomes):
+            mine = report.outcomes[item.item_id]
+            assert leased[item.item_id] == swept[item.key]
+            assert mine.attempts == outcome.attempts
+            assert mine.status == outcome.status
+            assert mine.stats == outcome.stats
+        # the seed exercises every rung of the ladder
+        assert {o.status for o in outcomes} == {"ok", "degraded", "failed"}

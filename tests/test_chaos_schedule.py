@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.chaos import ChaosSchedule, clock, load_schedule, parse_schedule
-from repro.engine.faults import CampaignFaults, FaultPlan
+from repro.engine.faults import FaultPlan
 from repro.errors import ConfigError
 
 pytestmark = [pytest.mark.chaos]
@@ -69,12 +69,30 @@ class TestParseSchedule:
             {"seed": 3, "worker": {"kill": 0.2},
              "campaign": {"ckill": 2, "tier_corrupt": 0.5}}
         )
-        faults = schedule.campaign_faults()
-        assert isinstance(faults, CampaignFaults)
-        assert faults.coordinator_kill_after == 2
-        assert faults.tier_corrupt == 0.5
-        assert faults.worker.kill == 0.2
-        assert faults.seed == 3
+        assert schedule.coordinator_kill_after == 2
+        assert schedule.tier_corrupt == 0.5
+        assert schedule.worker.kill == 0.2
+        assert schedule.seed == 3
+
+    def test_non_numeric_values_rejected(self):
+        with pytest.raises(ConfigError, match="expected a number"):
+            parse_schedule({"worker": {"kill": "lots"}})
+        with pytest.raises(ConfigError, match="ckill: expected an integer"):
+            parse_schedule({"campaign": {"ckill": "soon"}})
+
+    def test_rate_out_of_range_rejected(self):
+        with pytest.raises(ConfigError, match=r"outside \[0, 1\]"):
+            parse_schedule({"worker": {"kill": 1.5}})
+        with pytest.raises(ConfigError, match="sum to more than 1"):
+            parse_schedule({"worker": {"kill": 0.6, "error": 0.6}})
+
+    def test_ckill_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="ckill=0 must be >= 1"):
+            parse_schedule({"campaign": {"ckill": 0}})
+
+    def test_tier_corrupt_above_one_rejected(self):
+        with pytest.raises(ConfigError, match="tier_corrupt=1.5"):
+            parse_schedule({"campaign": {"tier_corrupt": 1.5}})
 
     def test_same_seed_same_decisions(self):
         raw = {"seed": 9, "worker": {"kill": 0.3, "error": 0.3}}

@@ -2,7 +2,8 @@
 
 Satellite of ISSUE 1: every :class:`~repro.errors.ReproError` subclass
 must map to a nonzero exit code with a one-line message (no traceback),
-and ``--inject-faults`` must round-trip through the chaos harness.
+and a ``run-all --chaos`` schedule must round-trip through the chaos
+harness.
 """
 
 import json
@@ -96,12 +97,19 @@ class TestErrorMessages:
             CacheConfig(size_bytes=1024, line_bytes=32, associativity=64)
 
 
+def schedule_file(tmp_path, schedule):
+    path = tmp_path / "chaos.json"
+    path.write_text(json.dumps(schedule))
+    return str(path)
+
+
 class TestRunAllCli:
     def test_inject_faults_round_trips(self, tmp_path, capsys):
+        chaos = schedule_file(tmp_path, {"seed": 3, "worker": {"error": 0.3}})
         rc = cli.main([
             "run-all", "--figures", "fig9", "--programs", "dot",
             "--jobs", "2", "--timeout", "10", "--retries", "2",
-            "--inject-faults", "error=0.3,seed=3",
+            "--chaos", chaos,
             "--cache-dir", str(tmp_path),
         ])
         out = capsys.readouterr().out
@@ -118,24 +126,40 @@ class TestRunAllCli:
         assert {"start", "finish"} <= {e["event"] for e in journal}
         assert any(e.get("injected") == "error" for e in journal)
 
-    def test_bad_fault_spec_is_a_clean_config_error(self, capsys):
-        rc = cli.main(["run-all", "--inject-faults", "explode=1"])
+    def test_bad_fault_spec_is_a_clean_config_error(self, tmp_path, capsys):
+        chaos = schedule_file(tmp_path, {"worker": {"explode": 1}})
+        rc = cli.main(["run-all", "--chaos", chaos])
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and "explode" in err
+
+    @pytest.mark.parametrize("section, body", [
+        ("serve", {"queue_flood": 4}),
+        ("campaign", {"ckill": 1}),
+    ])
+    def test_service_and_campaign_faults_refused(
+        self, tmp_path, capsys, section, body
+    ):
+        chaos = schedule_file(tmp_path, {"worker": {"kill": 0.1},
+                                         section: body})
+        rc = cli.main(["run-all", "--chaos", chaos])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(section) in err
 
     def test_unknown_figure_is_a_clean_config_error(self, capsys):
         rc = cli.main(["run-all", "--figures", "fig99"])
         assert rc == 2
         assert "fig99" in capsys.readouterr().err
 
-    def test_failed_runs_give_exit_code_1(self, capsys):
+    def test_failed_runs_give_exit_code_1(self, tmp_path, capsys):
         # error injected on every attempt, no fallback -> every run fails,
         # yet run-all still completes and reports instead of crashing
+        chaos = schedule_file(tmp_path, {"worker": {"error": 1.0}})
         rc = cli.main([
             "run-all", "--figures", "fig9", "--programs", "dot",
             "--jobs", "2", "--timeout", "10", "--retries", "0",
-            "--inject-faults", "error=1.0",
+            "--chaos", chaos,
             "--no-fallback",
         ])
         captured = capsys.readouterr()

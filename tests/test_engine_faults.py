@@ -8,9 +8,9 @@ from repro.engine.faults import (
     FAULT_KINDS,
     FaultPlan,
     corrupt_store_entries,
-    parse_fault_spec,
     unit_interval,
 )
+from repro.chaos import ChaosSchedule, parse_schedule
 from repro.engine.store import CrashSafeStore
 from repro.errors import ConfigError
 
@@ -55,24 +55,21 @@ class TestFaultPlan:
 
 
 class TestParseSpec:
+    """Worker fault plans come from ``--chaos`` schedule files."""
+
     def test_full_spec(self):
-        plan = parse_fault_spec("timeout=0.1,kill=0.05,corrupt=0.05,seed=7")
+        plan = parse_schedule(
+            {"seed": 7, "worker": {"hang": 0.1, "kill": 0.05, "corrupt": 0.05}}
+        ).engine_plan()
         assert plan == FaultPlan(timeout=0.1, kill=0.05, corrupt=0.05, seed=7)
 
-    def test_whitespace_and_empty_items(self):
-        assert parse_fault_spec(" error=0.5 , ") == FaultPlan(error=0.5)
-
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            parse_fault_spec("explode=0.5")
-
-    def test_missing_equals(self):
-        with pytest.raises(ConfigError):
-            parse_fault_spec("timeout")
+        with pytest.raises(ConfigError, match="explode"):
+            parse_schedule({"worker": {"explode": 0.5}})
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
-            parse_fault_spec("timeout=lots")
+            parse_schedule({"worker": {"hang": "lots"}})
 
 
 class TestCorruptStoreEntries:
@@ -97,44 +94,41 @@ class TestCorruptStoreEntries:
 
 
 class TestCampaignFaultSpec:
-    def test_full_campaign_spec(self):
-        from repro.engine.faults import parse_campaign_fault_spec
+    """Coordinator-level faults ride the schedule's ``campaign`` section."""
 
-        faults = parse_campaign_fault_spec(
-            "kill=0.1,corrupt=0.05,seed=7,ckill=3,tier_corrupt=0.25"
-        )
+    def test_full_campaign_spec(self):
+        faults = parse_schedule({
+            "seed": 7,
+            "worker": {"kill": 0.1, "corrupt": 0.05},
+            "campaign": {"ckill": 3, "tier_corrupt": 0.25},
+        })
         assert faults.coordinator_kill_after == 3
         assert faults.tier_corrupt == 0.25
         assert faults.seed == 7
         assert faults.worker == FaultPlan(kill=0.1, corrupt=0.05, seed=7)
 
     def test_coordinator_only_spec_has_no_worker_plan(self):
-        from repro.engine.faults import parse_campaign_fault_spec
-
-        faults = parse_campaign_fault_spec("ckill=1")
+        faults = parse_schedule({"campaign": {"ckill": 1}})
         assert faults.coordinator_kill_after == 1
         assert faults.worker is None
 
     def test_seed_only_collapses_worker_plan(self):
-        from repro.engine.faults import parse_campaign_fault_spec
-
-        assert parse_campaign_fault_spec("seed=9,ckill=2").worker is None
+        faults = parse_schedule(
+            {"seed": 9, "worker": {}, "campaign": {"ckill": 2}}
+        )
+        assert faults.worker is None
 
     def test_unknown_key_rejected(self):
-        from repro.engine.faults import parse_campaign_fault_spec
-
         with pytest.raises(ConfigError):
-            parse_campaign_fault_spec("tierkill=1")
+            parse_schedule({"campaign": {"tierkill": 1}})
 
     def test_bad_values_rejected(self):
-        from repro.engine.faults import CampaignFaults, parse_campaign_fault_spec
-
         with pytest.raises(ConfigError):
-            parse_campaign_fault_spec("ckill=soon")
+            parse_schedule({"campaign": {"ckill": "soon"}})
         with pytest.raises(ConfigError):
-            CampaignFaults(coordinator_kill_after=0)
+            ChaosSchedule(coordinator_kill_after=0)
         with pytest.raises(ConfigError):
-            CampaignFaults(tier_corrupt=1.5)
+            ChaosSchedule(tier_corrupt=1.5)
 
 
 class TestCorruptDiskTier:

@@ -26,6 +26,7 @@ from repro.engine.journal import RunJournal, read_journal
 from repro.errors import GuardViolationError
 from repro.experiments.runner import Runner, request_key
 from repro.guard import GuardConfig, runtime as guard_runtime
+from repro.obs import runtime as obs
 
 pytestmark = [pytest.mark.engine, pytest.mark.chaos, pytest.mark.guard]
 
@@ -145,6 +146,38 @@ class TestEngineLayoutFaults:
         # must not double-journal through inherited parent sinks
         rollbacks = [e for e in events if e["event"] == "guard_rollback"]
         assert len(rollbacks) == len(CHAOS_PROGRAMS)
+
+    def test_guard_counters_match_journal_events(self, tmp_path):
+        """Each guard counter equals its journal event count.
+
+        Workers count their own violations and rollbacks and the parent
+        merges that snapshot, so the parent must not count them again.
+        """
+        journal_path = tmp_path / "journal.jsonl"
+        runner = Runner()
+        requests = [
+            runner.request_for(p, "pad", size=48) for p in CHAOS_PROGRAMS
+        ]
+        obs.reset()
+        obs.enable()
+        try:
+            ExperimentEngine(self._config("warn")).run_many(
+                requests, journal=RunJournal(journal_path)
+            )
+            counters = collections.Counter()
+            for row in obs.snapshot()["counters"]:
+                counters[row["name"]] += row["value"]
+        finally:
+            obs.disable()
+            obs.reset()
+        events = collections.Counter(
+            e["event"] for e in read_journal(journal_path)
+        )
+        assert events["guard_rollback"] == len(CHAOS_PROGRAMS)
+        assert (counters["repro_guard_violations_total"]
+                == events["guard_violation"])
+        assert (counters["repro_guard_rollbacks_total"]
+                == events["guard_rollback"])
 
     def test_strict_mode_fails_faulted_runs_loudly(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
