@@ -238,11 +238,12 @@ def main() -> int:
             raise SystemExit("FAIL: storm clients did not finish")
 
         # brownout probe: force degraded mode and ask for a program the
-        # memo tier has never seen, so gate 2 is exercised every run
+        # memo tier has never seen, so gate 2 is exercised every run.
+        # Brownout answers analyzable programs exactly (status
+        # "analytic"), so the probe uses cgm, whose indirect gathers the
+        # analytic predictor refuses: that reaches the estimator path.
         server.service.config.brownout = True
-        code, body = post(
-            base, "/v1/simulate", {"program": "jacobi", "size": 40}
-        )
+        code, body = post(base, "/v1/simulate", {"program": "cgm"})
         storm.note(code)
         if code != 200 or body.get("status") != "degraded":
             storm.violation(

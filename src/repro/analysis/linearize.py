@@ -9,6 +9,8 @@ with column-major strides ``stride_1 = elem_size`` and
 ``stride_k = elem_size * prod_{m<k} dim_m``.  Subtracting two linearized
 references gives the paper's expression (1); when the variable terms cancel
 the result is the constant distance used to compute conflict distances.
+The sum itself is :func:`repro.ir.nest.linear_address`, shared with the
+trace interpreter, the JIT and the analytic predictor.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Optional, Sequence
 
 from repro.errors import AnalysisError
 from repro.ir.arrays import ArrayDecl
-from repro.ir.expr import AffineExpr, IndirectExpr
+from repro.ir.expr import AffineExpr
+from repro.ir.nest import linear_address
 from repro.ir.refs import ArrayRef
 
 
@@ -42,12 +45,11 @@ def linearize(
         raise AnalysisError(
             f"reference {ref} has rank {ref.rank}, declaration has {decl.rank}"
         )
-    strides = decl.strides(dim_sizes)
-    total = AffineExpr.const_expr(base_address)
-    for sub, dim, stride in zip(ref.subscripts, decl.dims, strides):
-        if isinstance(sub, IndirectExpr):
-            raise AnalysisError(f"cannot linearize indirect subscript in {ref}")
-        total = total + (sub - dim.lower) * stride
+    total, indirect = linear_address(
+        ref, decl, decl.strides(dim_sizes), base_address
+    )
+    if indirect:
+        raise AnalysisError(f"cannot linearize indirect subscript in {ref}")
     return total
 
 

@@ -8,11 +8,15 @@ constant), the full cache state sequence is a closed-form object, and the
 predictor evaluates it exactly:
 
 * **Classification** splits the program into *units*: maximal perfect
-  affine nests (compiled to a coefficient matrix exactly like
-  :mod:`repro.jit.specialize`), sequence loops over sub-units (time loops
-  whose body holds several sweeps), and straight-line statements.  Any
-  shape outside the class is a :class:`Bailout` with a reason from
-  :data:`BAILOUT_REASONS` — the predictor never silently approximates.
+  affine nests (the shared normal form of :mod:`repro.ir.nest`, the same
+  coefficient matrix and block generator the JIT runs), sequence loops
+  over sub-units (time loops whose body holds several sweeps), and
+  straight-line statements.  The predictor's own policy on top of the
+  normal form: every bound must be constant, a loop whose body is only
+  sibling loops becomes a sequence loop, and every offending reference is
+  reported.  Any shape outside the class is a :class:`Bailout` with a
+  reason from :data:`BAILOUT_REASONS` — the predictor never silently
+  approximates.
 
 * **Evaluation** replays the per-set LRU automaton over each unit's
   address stream, accelerated by *translation folding*: when every
@@ -60,19 +64,20 @@ from repro.cache.stats import CacheStats
 from repro.errors import PredictError
 from repro.ir.expr import AffineExpr
 from repro.ir.loops import Loop
+from repro.ir.nest import (
+    NEST_REASONS, NestForm, normalize_nest, perfect_chain, ref_address, trip,
+)
 from repro.ir.program import Program
 from repro.ir.stmts import Statement
 from repro.layout.layout import MemoryLayout
 from repro.obs import runtime as obs
 
 #: Why the predictor refused a program (``reason`` label on
-#: ``repro_predict_bailouts_total``).  The first four are static
-#: precondition failures mirroring the JIT deopt taxonomy;
-#: ``exceeds_budget`` is issued at evaluation time when an unfoldable
-#: program would need more than ``budget`` replayed accesses.
-BAILOUT_REASONS = (
-    "imperfect", "shadowed", "symbolic_bounds", "indirect", "exceeds_budget",
-)
+#: ``repro_predict_bailouts_total``): the static
+#: :data:`~repro.ir.nest.NEST_REASONS` plus ``exceeds_budget``, issued at
+#: evaluation time when an unfoldable program would need more than
+#: ``budget`` replayed accesses.
+BAILOUT_REASONS = NEST_REASONS + ("exceeds_budget",)
 
 #: Default replay budget (accesses) for :func:`predict_misses`.
 DEFAULT_BUDGET = 1 << 22
@@ -215,30 +220,16 @@ class _StmtUnit:
 
 
 class _NestUnit:
-    """Perfect affine nest chain, compiled to matrix form (constant bounds)."""
+    """Perfect affine nest with constant bounds, in the shared normal form."""
 
-    __slots__ = (
-        "variables", "trips", "scaled", "c0_exprs", "flags", "ref_ids",
-        "suffix", "total_iters", "line",
-    )
+    __slots__ = ("form", "trips", "flags", "ref_ids", "total_iters")
 
-    def __init__(self, variables, trips, scaled, c0_exprs, flags, ref_ids, line):
-        self.variables = variables
-        self.trips = trips
-        self.scaled = scaled          # (refs, depth) int64, step-scaled
-        self.c0_exprs = c0_exprs      # per-ref residual over enclosing vars
-        self.flags = flags
-        self.ref_ids = ref_ids
-        depth = len(trips)
-        suffix = [1] * depth
-        for k in range(depth - 2, -1, -1):
-            suffix[k] = suffix[k + 1] * trips[k + 1]
-        self.suffix = suffix
-        total = 1
-        for n in trips:
-            total *= n
-        self.total_iters = total
-        self.line = line
+    def __init__(self, form: NestForm, ref_ids):
+        self.form = form
+        self.trips = form.trips({})
+        self.flags = form.flags.tolist()
+        self.ref_ids = list(ref_ids)
+        self.total_iters = math.prod(self.trips)
 
     @property
     def accesses(self) -> int:
@@ -247,64 +238,39 @@ class _NestUnit:
     @property
     def inner_iters(self) -> int:
         """Iterations per level-0 trip."""
-        return self.suffix[0]
+        return math.prod(self.trips[1:])
 
     def outer_delta(self) -> Optional[int]:
         """Uniform byte advance per level-0 iteration, or None."""
         if not self.ref_ids:
             return 0
-        deltas = set(int(d) for d in self.scaled[:, 0])
+        deltas = set(int(d) for d in self.form.scaled[:, 0])
         return deltas.pop() if len(deltas) == 1 else None
 
     def delta_of(self, var: str, step: int) -> List[int]:
-        return [e.coeff(var) * step for e in self.c0_exprs]
+        return [e.coeff(var) * step for e in self.form.consts]
 
     def emit(self, env, flat_lo: int, flat_hi: int, chunk: int = 1 << 14):
         """Yield (addrs, flags, ref_ids) lists for a flat iteration range."""
-        refs = len(self.ref_ids)
-        if refs == 0 or flat_hi <= flat_lo:
-            return
-        c0 = np.array(
-            [e.evaluate(env) for e in self.c0_exprs], dtype=np.int64
-        )
-        depth = len(self.trips)
-        trips = self.trips
-        suffix = self.suffix
-        transposed = np.ascontiguousarray(self.scaled.T)
-        iters_per_block = max(1, chunk // refs)
-        tiled_flags = None
-        tiled_ids = None
-        for start in range(flat_lo, flat_hi, iters_per_block):
-            stop = min(flat_hi, start + iters_per_block)
-            flat = np.arange(start, stop, dtype=np.int64)
-            counters = np.empty((stop - start, depth), dtype=np.int64)
-            for k in range(depth):
-                np.floor_divide(flat, suffix[k], out=counters[:, k])
-                if k:
-                    counters[:, k] %= trips[k]
-            addrs = (counters @ transposed + c0).reshape(-1)
-            if stop - start == iters_per_block and tiled_flags is not None:
-                flags, ids = tiled_flags, tiled_ids
-            else:
-                flags = list(self.flags) * (stop - start)
-                ids = list(self.ref_ids) * (stop - start)
-                if stop - start == iters_per_block:
-                    tiled_flags, tiled_ids = flags, ids
-            yield addrs.tolist(), flags, ids
+        tiled = {}
+        for addrs, _ in self.form.bind(env).blocks(chunk, flat_lo, flat_hi):
+            iters = len(addrs) // len(self.ref_ids)
+            if iters not in tiled:
+                tiled[iters] = (self.flags * iters, self.ref_ids * iters)
+            yield (addrs.tolist(),) + tiled[iters]
 
 
 class _SeqLoop:
     """Constant-bound loop whose body is a sequence of sub-units."""
 
-    __slots__ = ("var", "lower", "step", "trips", "body", "line")
+    __slots__ = ("var", "lower", "step", "trips", "body")
 
-    def __init__(self, var, lower, step, trips, body, line):
+    def __init__(self, var, lower, step, trips, body):
         self.var = var
         self.lower = lower
         self.step = step
         self.trips = trips
         self.body = body
-        self.line = line
 
     @property
     def accesses(self) -> int:
@@ -329,7 +295,13 @@ _Unit = Union[_StmtUnit, _NestUnit, _SeqLoop]
 
 
 class _Classifier:
-    """Program -> unit tree, or a precondition report."""
+    """Program -> unit tree, or a precondition report.
+
+    Nest units come from :func:`~repro.ir.nest.normalize_nest`; the policy
+    here is the predictor's own: every bound must be constant, a loop
+    whose body is only sibling loops becomes a :class:`_SeqLoop`, and
+    every offending reference is reported, not just the first.
+    """
 
     def __init__(self, prog: Program, layout: MemoryLayout):
         self.prog = prog
@@ -361,32 +333,17 @@ class _Classifier:
             if not ref.is_affine:
                 self._bail("indirect", f"reference {ref}", ref.line)
 
-    def _address_expr(self, ref) -> AffineExpr:
-        decl = self.prog.array(ref.array)
-        addr = AffineExpr(self.layout.base(ref.array))
-        strides = self.layout.strides(ref.array)
-        for sub, stride, dim in zip(ref.subscripts, strides, decl.dims):
-            addr = addr + sub * stride - dim.lower * stride
-        return addr
-
-    def _register(self, ref) -> int:
-        idx = len(self.ref_meta)
-        self.ref_meta.append(_RefMeta(
-            ref.array, str(ref), ref.line, ref.is_write, self._unit_index,
-        ))
-        return idx
-
-    def _statement(self, stmt: Statement, scope) -> Optional[_StmtUnit]:
+    def _refs(self, refs, scope) -> Optional[Tuple[List[AffineExpr], List[int]]]:
+        """Addresses and ids of ``refs``, or None after bailing on any."""
         exprs: List[AffineExpr] = []
-        flags: List[bool] = []
         ids: List[int] = []
         ok = True
-        for ref in stmt.refs:
+        for ref in refs:
             if not ref.is_affine:
                 self._bail("indirect", f"reference {ref}", ref.line)
                 ok = False
                 continue
-            addr = self._address_expr(ref)
+            addr, _ = ref_address(ref, self.prog, self.layout)
             free = [v for v in addr.coeffs if v not in scope]
             if free:
                 self._bail(
@@ -396,139 +353,69 @@ class _Classifier:
                 ok = False
                 continue
             exprs.append(addr)
-            flags.append(ref.is_write)
-            ids.append(self._register(ref))
-        return _StmtUnit(tuple(exprs), tuple(flags), tuple(ids)) if ok else None
+            ids.append(len(self.ref_meta))
+            self.ref_meta.append(_RefMeta(
+                ref.array, str(ref), ref.line, ref.is_write, self._unit_index,
+            ))
+        return (exprs, ids) if ok else None
 
-    def _loop(self, loop: Loop, scope) -> Optional[_Unit]:
+    def _statement(self, stmt: Statement, scope) -> Optional[_StmtUnit]:
+        found = self._refs(stmt.refs, scope)
+        if found is None:
+            return None
+        exprs, ids = found
+        flags = tuple(ref.is_write for ref in stmt.refs)
+        return _StmtUnit(tuple(exprs), flags, tuple(ids))
+
+    def _level(self, loop: Loop, scope) -> bool:
+        """The predictor's checks on one loop level (bails when False)."""
         if loop.var in scope:
             self._bail("shadowed", f"loop {loop.var} rebinds its variable",
                        loop.line)
-            return None
+            return False
         if not (loop.lower.is_constant and loop.upper.is_constant):
             self._bail(
                 "symbolic_bounds",
                 f"loop {loop.var} = {loop.lower}, {loop.upper}", loop.line,
             )
             self._scan_refs(loop)
-            return None
-        stmts = [n for n in loop.body if isinstance(n, Statement)]
-        loops = [n for n in loop.body if isinstance(n, Loop)]
-        if stmts and loops:
+            return False
+        if not loop.is_innermost and any(
+            isinstance(n, Statement) for n in loop.body
+        ):
             self._bail(
                 "imperfect",
                 f"loop {loop.var} mixes statements and loops", loop.line,
             )
             self._scan_refs(loop)
+            return False
+        return True
+
+    def _loop(self, loop: Loop, scope) -> Optional[_Unit]:
+        chain = perfect_chain(loop)
+        if chain is not None:
+            return self._nest(chain, scope)
+        if not self._level(loop, scope):
             return None
-        inner_scope = scope | {loop.var}
-        if not loops:
-            return self._leaf_nest([loop], stmts, scope)
-        children: List[_Unit] = []
-        ok = True
-        for child in loops:
-            unit = self._loop(child, inner_scope)
-            if unit is None:
-                ok = False
-            else:
-                children.append(unit)
-        if not ok:
+        children = [self._loop(child, scope | {loop.var}) for child in loop.body]
+        if any(child is None for child in children):
             return None
-        if len(children) == 1 and isinstance(children[0], _NestUnit):
-            lifted = self._lift(loop, children[0])
-            if lifted is not None:
-                return lifted
-        trips = _trip(loop.lower.const, loop.upper.const, loop.step)
-        return _SeqLoop(
-            loop.var, loop.lower.const, loop.step, trips, children, loop.line,
-        )
+        trips = trip(loop.lower.const, loop.upper.const, loop.step)
+        return _SeqLoop(loop.var, loop.lower.const, loop.step, trips, children)
 
-    def _leaf_nest(self, chain, stmts, scope) -> Optional[_NestUnit]:
-        names = tuple(level.var for level in chain)
-        own = frozenset(names)
-        rows: List[List[int]] = []
-        exprs: List[AffineExpr] = []
-        flags: List[bool] = []
-        ids: List[int] = []
-        ok = True
-        for stmt in stmts:
-            for ref in stmt.refs:
-                if not ref.is_affine:
-                    self._bail("indirect", f"reference {ref}", ref.line)
-                    ok = False
-                    continue
-                addr = self._address_expr(ref)
-                free = [
-                    v for v in addr.coeffs if v not in scope and v not in own
-                ]
-                if free:
-                    self._bail(
-                        "symbolic_bounds",
-                        f"reference {ref} uses unbound {sorted(free)}",
-                        ref.line,
-                    )
-                    ok = False
-                    continue
-                rows.append([addr.coeff(v) for v in names])
-                residual = {
-                    v: c for v, c in addr.coeffs.items() if v not in own
-                }
-                exprs.append(AffineExpr(addr.const, residual))
-                flags.append(ref.is_write)
-                ids.append(self._register(ref))
-        if not ok:
+    def _nest(self, chain: List[Loop], scope) -> Optional[_NestUnit]:
+        for level in chain:
+            if not self._level(level, scope):
+                return None
+            scope = scope | {level.var}
+        found = self._refs(
+            [ref for stmt in chain[-1].body for ref in stmt.refs], scope
+        )
+        if found is None:
             return None
-        trips = tuple(
-            _trip(l.lower.const, l.upper.const, l.step) for l in chain
-        )
-        lowers = np.array([l.lower.const for l in chain], dtype=np.int64)
-        steps = np.array([l.step for l in chain], dtype=np.int64)
-        coeffs = (
-            np.array(rows, dtype=np.int64)
-            if rows else np.zeros((0, len(names)), dtype=np.int64)
-        )
-        # Fold start values into the residual: addr = c0 + (A*step)@t.
-        starts = coeffs @ lowers
-        c0_exprs = tuple(
-            expr + int(start) for expr, start in zip(exprs, starts)
-        )
-        scaled = coeffs * steps[None, :]
-        return _NestUnit(
-            names, trips, scaled, c0_exprs, tuple(flags), tuple(ids),
-            chain[0].line,
-        )
-
-    def _lift(self, loop: Loop, inner: _NestUnit) -> Optional[_NestUnit]:
-        """Prepend a level to a perfect chain (returns None if shadowed)."""
-        if loop.var in inner.variables:
-            return None  # handled as a sequence loop instead
-        names = (loop.var,) + inner.variables
-        trips = (_trip(loop.lower.const, loop.upper.const, loop.step),) \
-            + inner.trips
-        refs = len(inner.ref_ids)
-        col = np.array(
-            [e.coeff(loop.var) for e in inner.c0_exprs], dtype=np.int64
-        ).reshape(refs, 1)
-        scaled = np.hstack([col * loop.step, inner.scaled]) if refs else \
-            np.zeros((0, len(names)), dtype=np.int64)
-        start = col.reshape(-1) * loop.lower.const
-        c0_exprs = tuple(
-            AffineExpr(
-                e.const + int(s),
-                {v: c for v, c in e.coeffs.items() if v != loop.var},
-            )
-            for e, s in zip(inner.c0_exprs, start)
-        )
-        return _NestUnit(
-            names, trips, scaled, c0_exprs, inner.flags, inner.ref_ids,
-            loop.line,
-        )
-
-
-def _trip(lo: int, hi: int, step: int) -> int:
-    if step > 0:
-        return max(0, (hi - lo) // step + 1)
-    return max(0, (lo - hi) // (-step) + 1)
+        form = normalize_nest(chain[0], self.prog, self.layout)
+        assert isinstance(form, NestForm), form  # the checks above imply it
+        return _NestUnit(form, found[1])
 
 
 class _Model:

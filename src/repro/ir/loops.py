@@ -17,6 +17,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 from repro.errors import IRError
 from repro.ir.expr import AffineExpr
+from repro.ir.nest import trip
 from repro.ir.refs import ArrayRef
 from repro.ir.stmts import Statement
 
@@ -86,11 +87,9 @@ class Loop:
 
     def trip_count(self, env) -> int:
         """Number of iterations under concrete outer-variable values."""
-        lo = self.lower.evaluate(env)
-        hi = self.upper.evaluate(env)
-        if self.step > 0:
-            return max(0, (hi - lo) // self.step + 1)
-        return max(0, (lo - hi) // (-self.step) + 1)
+        return trip(
+            self.lower.evaluate(env), self.upper.evaluate(env), self.step
+        )
 
     def __repr__(self) -> str:
         head = f"do {self.var} = {self.lower}, {self.upper}"

@@ -1,8 +1,8 @@
 """repro.jit — tracing JIT over the trace interpreter.
 
 Hot, purely-affine loop nests have closed-form address streams; this
-package detects them, compiles each into a batched block generator
-(:mod:`repro.jit.specialize`), and runs everything else through the exact
+package compiles each into the batched block generator of its normal
+form (:mod:`repro.ir.nest`) and runs everything else through the exact
 interpreter (:mod:`repro.jit.interp`).  The emitted stream — addresses,
 write flags, and order — is byte-identical to interpretation by
 construction, pinned by the differential fuzz battery in
@@ -13,27 +13,19 @@ Entry point: :func:`make_interpreter`, selected everywhere by the
 """
 
 from repro.jit.interp import (
+    DEOPT_REASONS,
     JIT_MODES,
     JitConfig,
     JitInterpreter,
     make_interpreter,
     resolve_mode,
 )
-from repro.jit.specialize import (
-    DEOPT_REASONS,
-    BoundNest,
-    NestPlan,
-    specialize_nest,
-)
 
 __all__ = [
     "JIT_MODES",
     "DEOPT_REASONS",
-    "BoundNest",
     "JitConfig",
     "JitInterpreter",
-    "NestPlan",
     "make_interpreter",
     "resolve_mode",
-    "specialize_nest",
 ]

@@ -3,16 +3,23 @@ hot affine nests.
 
 :class:`JitInterpreter` subclasses the exact trace interpreter and swaps
 its body dispatcher: before interpreting a loop it consults a per-instance
-plan cache (:func:`~repro.jit.specialize.specialize_nest` runs once per
-loop node), binds the plan against the enclosing environment and — when
-the hotness policy agrees — streams the whole nest's address blocks from
-closed form instead of walking it.  Anything that fails the preconditions
-falls back to the superclass machinery *mid-trace*: the deopted level is
-interpreted in Python and each inner sub-nest is reconsidered on its own,
-so the emitted stream is byte-identical either way.
+cache of nest normal forms (:func:`~repro.ir.nest.normalize_nest` runs
+once per loop node), binds the form against the enclosing environment and
+— when the hotness policy agrees — streams the whole nest's address blocks
+from :meth:`~repro.ir.nest.BoundNest.blocks` instead of walking it.  A
+nest without a normal form falls back to the superclass machinery
+*mid-trace*: the deopted level is interpreted in Python and each inner
+sub-nest is reconsidered on its own, so the emitted stream is
+byte-identical either way.  A deopted nest head is re-examined whenever
+its level is re-entered — a triangular outer loop over a rectangular
+inner nest still compiles the inner nest once per outer iteration.
 
-Plan caches are keyed by loop-node identity and live exactly as long as
-the interpreter.  That is deliberate: plans bake in one layout's bases and
+The policy here is the JIT's own: the modes, the hotness threshold, and
+the ``cold`` deopt reason.  The structural preconditions and their
+reasons live in :mod:`repro.ir.nest`.
+
+Form caches are keyed by loop-node identity and live exactly as long as
+the interpreter.  That is deliberate: forms bake in one layout's bases and
 strides, and programs share body subtrees across clones (e.g.
 ``truncate_outer_loops`` keeps the original inner loops), so a longer-lived
 or shared cache could replay stale addresses.
@@ -25,13 +32,18 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.ir.loops import BodyNode
+from repro.ir.nest import NEST_REASONS, BoundNest, NestForm, normalize_nest
 from repro.ir.program import Program
 from repro.ir.stmts import Statement
 from repro.layout.layout import MemoryLayout
 from repro.obs import runtime as obs
 from repro.trace.env import DataEnv
 from repro.trace.interpreter import Chunk, TraceInterpreter
-from repro.jit.specialize import BoundNest, NestPlan, specialize_nest
+
+#: Why a nest fell back to the interpreter (``reason`` label on
+#: ``repro_jit_deopt_total``): the static :data:`~repro.ir.nest.NEST_REASONS`
+#: plus ``cold``, issued at run time by the auto-mode hotness policy.
+DEOPT_REASONS = NEST_REASONS + ("cold",)
 
 #: Accepted values of the ``--jit`` flag and every ``jit=`` parameter.
 JIT_MODES = ("on", "off", "auto")
@@ -90,7 +102,7 @@ class JitInterpreter(TraceInterpreter):
             )
         # Both caches are keyed by loop-node id and scoped to this
         # interpreter (hence this layout) — see the module docstring.
-        self._nest_plans: Dict[int, Union[NestPlan, str]] = {}
+        self._nest_forms: Dict[int, Union[NestForm, str]] = {}
         self._nest_entries: Dict[int, int] = {}
 
     # -- dispatch ---------------------------------------------------------
@@ -121,10 +133,10 @@ class JitInterpreter(TraceInterpreter):
         self, node, env: Mapping[str, int]
     ) -> Optional[BoundNest]:
         key = id(node)
-        entry = self._nest_plans.get(key)
+        entry = self._nest_forms.get(key)
         if entry is None:
-            entry = specialize_nest(node, self.prog, self.layout)
-            self._nest_plans[key] = entry
+            entry = normalize_nest(node, self.prog, self.layout)
+            self._nest_forms[key] = entry
         if isinstance(entry, str):
             self._count_deopt(entry)
             return None

@@ -117,13 +117,13 @@ class CircuitBreaker:
                 self.policy.cooldown_cap_s,
                 self._cooldown * self.policy.cooldown_factor,
             )
-            self._trip(now)
+            self._open(now)
             return
         self._failures += 1
         if self._failures >= self.policy.failure_threshold:
-            self._trip(now)
+            self._open(now)
 
-    def _trip(self, now: float) -> None:
+    def _open(self, now: float) -> None:
         self.state = OPEN
         self.trips += 1
         self._failures = 0

@@ -26,6 +26,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.ir.expr import IndirectExpr
 from repro.ir.loops import BodyNode, Loop
+from repro.ir.nest import ref_address, trip
 from repro.ir.program import Program
 from repro.ir.refs import ArrayRef
 from repro.ir.stmts import Statement
@@ -41,28 +42,19 @@ _CHUNK_SIZE_BUCKETS = (
 
 
 class _RefPlan:
-    """Precomputed addressing data for one reference under one layout."""
+    """Precomputed addressing data for one reference under one layout.
 
-    __slots__ = ("ref", "base", "strides", "lowers", "subplans", "is_write")
+    ``address`` is the affine part of the linearized address and
+    ``indirect`` its :data:`~repro.ir.nest.IndirectTerm` list, gathered
+    through the data environment at run time.
+    """
+
+    __slots__ = ("ref", "address", "indirect", "is_write")
 
     def __init__(self, ref: ArrayRef, layout: MemoryLayout):
-        decl = layout.prog.array(ref.array)
         self.ref = ref
-        self.base = layout.base(ref.array)
-        self.strides = layout.strides(ref.array)
-        self.lowers = decl.lower_bounds
+        self.address, self.indirect = ref_address(ref, layout.prog, layout)
         self.is_write = ref.is_write
-        # Per-dimension: (kind, subscript, stride, lower bound, upper bound).
-        subplans = []
-        for sub, stride, dim in zip(ref.subscripts, self.strides, decl.dims):
-            kind = "indirect" if isinstance(sub, IndirectExpr) else "affine"
-            subplans.append((kind, sub, stride, dim.lower, dim.upper))
-        self.subplans = tuple(subplans)
-
-    @property
-    def slot_count(self) -> int:
-        """Trace slots per execution: 1, plus 1 per indirect subscript."""
-        return 1 + sum(1 for kind, *_ in self.subplans if kind == "indirect")
 
 
 class TraceInterpreter:
@@ -145,10 +137,7 @@ class TraceInterpreter:
         lo = loop.lower.evaluate(env)
         hi = loop.upper.evaluate(env)
         step = loop.step
-        if step > 0:
-            count = max(0, (hi - lo) // step + 1)
-        else:
-            count = max(0, (lo - hi) // (-step) + 1)
+        count = trip(lo, hi, step)
         if count == 0:
             return
         values = lo + step * np.arange(count, dtype=np.int64)
@@ -181,28 +170,23 @@ class TraceInterpreter:
         Indirect subscripts contribute an extra column for the index-array
         load that precedes the main access.
         """
-        total = np.full_like(values, plan.base)
-        for kind, sub, stride, lower, upper in plan.subplans:
-            if kind == "affine":
-                coef = sub.coeff(var)
-                const = sub.const + sum(
-                    c * env[v] for v, c in sub.coeffs.items() if v != var
+        addr = plan.address
+        const = addr.const + sum(
+            c * env[v] for v, c in addr.coeffs.items() if v != var
+        )
+        total = const + addr.coeff(var) * values
+        for sub, stride, lower, upper in plan.indirect:
+            idx_values, idx_addrs = self._indirect_values(sub, var, values, env)
+            if len(idx_values) and (
+                idx_values.min() < lower or idx_values.max() > upper
+            ):
+                raise SimulationError(
+                    f"index array {sub.array!r} yields subscript outside "
+                    f"[{lower}, {upper}] for {plan.ref}"
                 )
-                total = total + (const - lower) * stride + coef * stride * values
-            else:
-                idx_values, idx_addrs = self._indirect_values(
-                    sub, var, values, env
-                )
-                if len(idx_values) and (
-                    idx_values.min() < lower or idx_values.max() > upper
-                ):
-                    raise SimulationError(
-                        f"index array {sub.array!r} yields subscript outside "
-                        f"[{lower}, {upper}] for {plan.ref}"
-                    )
-                columns.append(idx_addrs)
-                write_flags.append(False)
-                total = total + (idx_values - lower) * stride
+            columns.append(idx_addrs)
+            write_flags.append(False)
+            total = total + (idx_values - lower) * stride
         columns.append(total)
         write_flags.append(plan.is_write)
 
@@ -240,31 +224,28 @@ class TraceInterpreter:
         writes: List[bool] = []
         for ref in stmt.refs:
             plan = self._plan(ref)
-            total = plan.base
-            for kind, sub, stride, lower, upper in plan.subplans:
-                if kind == "affine":
-                    total += (sub.evaluate(env) - lower) * stride
-                else:
-                    inner_val = sub.inner.evaluate(env)
-                    idx_decl = self.prog.array(sub.array)
-                    position = inner_val - idx_decl.dims[0].lower
-                    data = self.env.values(sub.array)
-                    if not 0 <= position < len(data):
-                        raise SimulationError(
-                            f"index array {sub.array!r} subscript {inner_val} "
-                            f"out of range"
-                        )
-                    value = int(data[position])
-                    if not lower <= value <= upper:
-                        raise SimulationError(
-                            f"index array {sub.array!r} yields subscript "
-                            f"{value} outside [{lower}, {upper}] for {plan.ref}"
-                        )
-                    idx_base = self.layout.base(sub.array)
-                    idx_stride = self.layout.strides(sub.array)[0]
-                    addrs.append(idx_base + position * idx_stride)
-                    writes.append(False)
-                    total += (value - lower) * stride
+            total = plan.address.evaluate(env)
+            for sub, stride, lower, upper in plan.indirect:
+                inner_val = sub.inner.evaluate(env)
+                idx_decl = self.prog.array(sub.array)
+                position = inner_val - idx_decl.dims[0].lower
+                data = self.env.values(sub.array)
+                if not 0 <= position < len(data):
+                    raise SimulationError(
+                        f"index array {sub.array!r} subscript {inner_val} "
+                        f"out of range"
+                    )
+                value = int(data[position])
+                if not lower <= value <= upper:
+                    raise SimulationError(
+                        f"index array {sub.array!r} yields subscript "
+                        f"{value} outside [{lower}, {upper}] for {plan.ref}"
+                    )
+                idx_base = self.layout.base(sub.array)
+                idx_stride = self.layout.strides(sub.array)[0]
+                addrs.append(idx_base + position * idx_stride)
+                writes.append(False)
+                total += (value - lower) * stride
             addrs.append(total)
             writes.append(plan.is_write)
         self._push(np.asarray(addrs, dtype=np.int64), np.asarray(writes, dtype=bool))

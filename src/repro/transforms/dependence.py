@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.ir.loops import Loop
+from repro.ir.nest import perfect_chain
 from repro.ir.program import Program
 from repro.ir.refs import ArrayRef
 
@@ -59,18 +60,10 @@ def nest_loop_order(nest: Loop) -> List[Loop]:
     Raises :class:`AnalysisError` when the nest is not perfect (a loop
     body containing both statements and loops, or several loops).
     """
-    order = [nest]
-    current = nest
-    while True:
-        inner_loops = [n for n in current.body if isinstance(n, Loop)]
-        if not inner_loops:
-            return order
-        if len(inner_loops) != 1 or len(current.body) != 1:
-            raise AnalysisError(
-                f"loop nest over {nest.var!r} is not perfect"
-            )
-        current = inner_loops[0]
-        order.append(current)
+    chain = perfect_chain(nest)
+    if chain is None:
+        raise AnalysisError(f"loop nest over {nest.var!r} is not perfect")
+    return chain
 
 
 def _pair_distance(

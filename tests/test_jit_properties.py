@@ -21,13 +21,13 @@ from repro.cache.fastsim import FastDirectMapped, make_simulator
 from repro.cache.sim import ReferenceCache
 from repro.errors import ConfigError
 from repro.ir import builder as b
+from repro.ir.nest import normalize_nest
 from repro.jit import (
     DEOPT_REASONS,
     JitConfig,
     JitInterpreter,
     make_interpreter,
     resolve_mode,
-    specialize_nest,
 )
 from repro.jit.corpus import random_case
 from repro.layout.layout import original_layout
@@ -225,9 +225,9 @@ class TestDeoptReasons:
         )
         layout = original_layout(prog)
         imperfect, symbolic, indirect = prog.body
-        assert specialize_nest(imperfect, prog, layout) == "imperfect"
-        assert specialize_nest(symbolic, prog, layout) == "symbolic_bounds"
-        assert specialize_nest(indirect, prog, layout) == "indirect"
+        assert normalize_nest(imperfect, prog, layout) == "imperfect"
+        assert normalize_nest(symbolic, prog, layout) == "symbolic_bounds"
+        assert normalize_nest(indirect, prog, layout) == "indirect"
         for reason in ("imperfect", "symbolic_bounds", "indirect"):
             assert reason in DEOPT_REASONS
 

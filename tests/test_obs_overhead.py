@@ -1,23 +1,17 @@
 """Overhead guard: disabled metrics must not slow the fast simulators.
 
 The instrumentation promise is a single module-level flag test per hot
-call when collection is off.  This test times the instrumented fast
-direct-mapped engine on a one-million-access trace with metrics disabled
-and compares against the engine's own work with the obs module's flag
-check hoisted to a no-op — the instrumented run must be within 5%
-(plus a small absolute floor for timer noise).
-
-Wall-clock tests are inherently jittery on loaded CI machines; set
-``REPRO_SKIP_TIMING=1`` to skip.
+call when collection is off.  These tests check that promise directly
+instead of timing it: over a one-million-access trace with metrics
+disabled, the fast direct-mapped engine tests the flag exactly once per
+``access_chunk``, never reads the clock, and creates no instruments.
 """
 
 from __future__ import annotations
 
-import os
-import time
+import types
 
 import numpy as np
-import pytest
 
 from repro.cache import fastsim
 from repro.cache.config import CacheConfig
@@ -25,13 +19,7 @@ from repro.obs import runtime as obs
 
 TRACE_LENGTH = 1_000_000
 CHUNK = 65_536
-ALLOWED_OVERHEAD = 0.05
-NOISE_FLOOR_SECONDS = 0.010  # absolute slack: sub-10ms deltas are timer noise
-
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_SKIP_TIMING") == "1",
-    reason="REPRO_SKIP_TIMING=1",
-)
+CHUNKS = -(-TRACE_LENGTH // CHUNK)
 
 
 def _trace():
@@ -41,36 +29,35 @@ def _trace():
     return addresses, writes
 
 
-def _simulate(addresses, writes) -> float:
+def _simulate(addresses, writes) -> None:
     sim = fastsim.make_simulator(CacheConfig(16 * 1024, 32, 1))
-    start = time.perf_counter()
     for lo in range(0, TRACE_LENGTH, CHUNK):
         sim.access_chunk(addresses[lo:lo + CHUNK], writes[lo:lo + CHUNK])
-    return time.perf_counter() - start
-
-
-def _best_of(repeats: int, fn, *args) -> float:
-    return min(fn(*args) for _ in range(repeats))
 
 
 def test_disabled_metrics_overhead_within_budget(monkeypatch):
     obs.disable()
+    obs.reset()
     addresses, writes = _trace()
-    _simulate(addresses, writes)  # warm-up: numpy caches, page faults
+    flag_tests = []
+    clock_reads = []
 
-    # Baseline: the same engine with the enabled-check forced to a
-    # constant, which is what the pre-instrumentation hot loop compiled
-    # down to.  Comparing the same code path keeps the measurement about
-    # the instrumentation, not about unrelated engine changes.
-    instrumented = _best_of(3, _simulate, addresses, writes)
-    monkeypatch.setattr(fastsim, "_obs_enabled", lambda: False)
-    baseline = _best_of(3, _simulate, addresses, writes)
+    def counting_flag():
+        flag_tests.append(1)
+        return obs.is_enabled()
 
-    budget = baseline * (1 + ALLOWED_OVERHEAD) + NOISE_FLOOR_SECONDS
-    assert instrumented <= budget, (
-        f"instrumented {instrumented:.4f}s vs baseline {baseline:.4f}s "
-        f"(budget {budget:.4f}s)"
+    def counting_clock():
+        clock_reads.append(1)
+        return 0.0
+
+    monkeypatch.setattr(fastsim, "_obs_enabled", counting_flag)
+    monkeypatch.setattr(
+        fastsim, "time", types.SimpleNamespace(perf_counter=counting_clock)
     )
+    _simulate(addresses, writes)
+    assert len(flag_tests) == CHUNKS
+    assert clock_reads == []
+    assert len(obs.registry()) == 0
 
 
 def test_disabled_hot_paths_allocate_nothing():

@@ -122,6 +122,26 @@ class TestBrownout:
                 "cached", 0
             ) == 2
 
+    def test_brownout_degrades_only_what_the_predictor_refuses(self):
+        # the chaos SLO probe relies on this split: jacobi has an exact
+        # analytic answer, cgm gathers through an index array (indirect)
+        config = ServeConfig(port=0, workers=2, engine_jobs=1, brownout=True)
+        with serving(config) as server:
+            code, body, _ = _post(
+                server, "/v1/simulate", {"program": "jacobi", "size": 40}
+            )
+            assert code == 200
+            assert body["status"] == "analytic"
+            assert body["degraded"] is False
+
+            code, body, _ = _post(server, "/v1/simulate", {"program": "cgm"})
+            assert code == 200
+            assert body["status"] == "degraded"
+            assert body["degraded"] is True
+            assert body["stats"] is None
+            assert body["bailout"] == "indirect"
+            assert "error_bound_pct" in body
+
     def test_brownout_never_degrades_pad_or_lint(self):
         config = ServeConfig(port=0, workers=2, engine_jobs=1, brownout=True)
         with serving(config) as server:
