@@ -66,8 +66,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.campaign import Coordinator, compile_plan  # noqa: E402
-from repro.campaign.disktier import DiskTier  # noqa: E402
 from repro.campaign.spec import parse_spec  # noqa: E402
+from repro.engine.store import CrashSafeStore  # noqa: E402
 from repro.experiments.runner import Runner  # noqa: E402
 from repro.obs import runtime as obs  # noqa: E402
 
@@ -451,9 +451,9 @@ def main() -> int:
                   file=sys.stderr)
             return 1
 
-        tier = DiskTier(coordinator.tier_path)
+        store = CrashSafeStore(coordinator.tier_path)
         try:
-            runner = Runner(tier=tier)
+            runner = Runner(store=store)
 
             def run_all():
                 for item in plan.items:
@@ -468,7 +468,7 @@ def main() -> int:
             _, disk_pass_s = timed(run_all)
             _, memo_pass_s = timed(run_all)
         finally:
-            tier.close()
+            store.close()
 
     snap = obs.snapshot()
     items = len(plan.items)

@@ -8,10 +8,10 @@ workers from the warm :class:`~repro.engine.pool.WorkerPool`.
 
 Robustness is the design center:
 
-* every simulation result is committed to a durable SQLite **disk tier**
-  (:mod:`repro.campaign.disktier`) under a content-addressed key with a
-  per-row checksum — corrupt rows are quarantined, never trusted and
-  never fatal;
+* every simulation result is committed to the durable SQLite result
+  store (:class:`~repro.engine.store.CrashSafeStore`, the campaign's
+  **disk tier**) under a content-addressed key with a per-row checksum
+  — corrupt rows are quarantined, never trusted and never fatal;
 * worker **leases** carry deadlines and liveness heartbeats, so a
   crashed or hung worker's items are re-leased with backoff instead of
   lost;
@@ -27,7 +27,6 @@ Entry points: ``repro campaign run/resume/status`` on the CLI and
 """
 
 from repro.campaign.coordinator import CampaignReport, Coordinator
-from repro.campaign.disktier import DiskTier
 from repro.campaign.plan import CampaignPlan, WorkItem, compile_plan
 from repro.campaign.spec import CampaignPolicy, CampaignSpec, parse_spec
 from repro.campaign.state import CampaignState, replay_journal
@@ -39,7 +38,6 @@ __all__ = [
     "CampaignSpec",
     "CampaignState",
     "Coordinator",
-    "DiskTier",
     "WorkItem",
     "compile_plan",
     "parse_spec",

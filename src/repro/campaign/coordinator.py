@@ -16,8 +16,9 @@ Mechanics (the lease loop itself is
   with a deadline of ``policy.timeout_s`` from now; a worker that blows
   the deadline or dies (liveness is swept every loop tick) gets its item
   journaled ``item_released`` and re-leased after deterministic backoff;
-* a finished item is committed to the :class:`~repro.campaign.disktier.
-  DiskTier` **before** it is journaled ``item_completed`` — so the tier,
+* a finished item is committed to the durable result store
+  (:class:`~repro.engine.store.CrashSafeStore`, the campaign's disk
+  tier) **before** it is journaled ``item_completed`` — so the tier,
   not the journal, is the source of truth, and a crash between the two
   costs nothing on resume;
 * resume replays the journal (tolerating the torn tail a SIGKILL
@@ -40,10 +41,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.campaign.disktier import DiskTier
 from repro.campaign.plan import CampaignPlan, WorkItem
 from repro.engine.core import EngineConfig, ExperimentEngine, Task, journal_guard
 from repro.engine.journal import RunJournal, read_journal
+from repro.engine.store import CrashSafeStore
 from repro.errors import CampaignError
 from repro.experiments.runner import pack_record, unpack_record
 from repro.guard.config import GuardConfig
@@ -201,7 +202,7 @@ class Coordinator:
             journal = stack.enter_context(
                 RunJournal(self.journal_path, fsync=self.journal_fsync)
             )
-            tier = stack.enter_context(DiskTier(self.tier_path))
+            tier = stack.enter_context(CrashSafeStore(self.tier_path))
             committed, quarantined = self._recover(tier, journal)
             if resume:
                 journal.emit(
@@ -291,7 +292,7 @@ class Coordinator:
                 "(the spec changed since the original launch)"
             )
 
-    def _recover(self, tier: DiskTier, journal) -> tuple:
+    def _recover(self, tier: CrashSafeStore, journal) -> tuple:
         """Scan the tier for committed work; quarantine what fails.
 
         Returns ``(committed, quarantined)`` where ``committed`` maps
@@ -362,7 +363,8 @@ class Coordinator:
 class _CampaignLedger:
     """The coordinator's record: item journal, durable commit, statuses."""
 
-    def __init__(self, report: CampaignReport, tier: DiskTier, journal, faults):
+    def __init__(self, report: CampaignReport, tier: CrashSafeStore,
+                 journal, faults):
         self.report = report
         self.tier = tier
         self.journal = journal

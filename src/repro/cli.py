@@ -905,7 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "repro.chaos format; only its 'worker' section "
                         "applies to run-all)")
     p.add_argument("--cache-dir",
-                   help="crash-safe result store directory (makes the sweep "
+                   help="result store directory: runs commit to "
+                        "<cache-dir>/runner_cache.db (makes the sweep "
                         "resumable)")
     p.add_argument("--journal",
                    help="JSONL run journal path (default: "

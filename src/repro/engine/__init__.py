@@ -4,14 +4,15 @@ Submodules:
 
 * :mod:`repro.engine.core`    — parallel executor (timeouts, retries,
   crash containment, graceful degradation);
-* :mod:`repro.engine.store`   — crash-safe persistent result store;
+* :mod:`repro.engine.store`   — the one crash-safe SQLite result store
+  (``run-all --cache-dir``, the Runner and campaigns);
 * :mod:`repro.engine.journal` — structured JSONL run journal;
 * :mod:`repro.engine.faults`  — deterministic fault injection;
 * :mod:`repro.engine.pool`    — long-lived warm worker pool (``repro serve``);
 * :mod:`repro.engine.plan`    — figure planning / the ``run-all`` pipeline.
 
 ``core`` and ``plan`` are loaded lazily because they import the experiment
-runner, which itself persists through :mod:`repro.engine.store`.
+runner and with it the whole simulation stack.
 """
 
 from repro.engine.faults import FaultPlan, InjectedFault

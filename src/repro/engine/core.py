@@ -192,8 +192,9 @@ class ExperimentEngine:
 
         ``store`` is a :class:`~repro.engine.store.CrashSafeStore` (or
         anything with get/put of packed records): hits short-circuit to
-        ``cached`` outcomes and new results are persisted as they finish,
-        which is what makes a killed sweep resumable.  ``journal`` is a
+        ``cached`` outcomes and new results are committed as they finish,
+        before their ``finish`` event is journaled, which is what makes a
+        killed sweep resumable.  ``journal`` is a
         :class:`~repro.engine.journal.RunJournal`.
         """
         journal = journal or NullJournal()
@@ -491,6 +492,12 @@ class _SweepLedger:
         self, task: Task, status: str, stats=None, error=None, guard=None,
         tier=None,
     ) -> None:
+        # Commit order is the resume invariant, as in the campaign
+        # ledger: the durable store first, the journal second.  A crash
+        # (or a failed put) between the two never journals a finish the
+        # store cannot back.
+        if stats is not None and self.store is not None:
+            self.store.put(task.key, pack_record(stats, status))
         duration = round(task.total_time, 6)
         self.outcomes[task.key] = RunOutcome(
             task.request, status, stats, attempts=task.total_attempts,
@@ -502,8 +509,6 @@ class _SweepLedger:
             **({"error": error} if error else {}),
             **({"tier": tier} if tier else {}),
         )
-        if stats is not None and self.store is not None:
-            self.store.put(task.key, pack_record(stats, status))
         obs.counter_add(
             "repro_engine_outcomes_total", 1,
             "terminal run outcomes, by status", status=status,

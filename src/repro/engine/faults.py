@@ -25,8 +25,8 @@ Plans are usually built from a :class:`~repro.chaos.ChaosSchedule`
 (the ``--chaos`` file), whose ``campaign`` section adds a coordinator
 kill and disk-tier row corruption (:func:`corrupt_disk_tier`).
 
-:func:`corrupt_store_entries` complements the plan by damaging entries of
-an on-disk result store, exercising the store's quarantine path;
+:func:`corrupt_disk_tier` complements the plan by damaging rows of an
+on-disk result store, exercising the store's quarantine path;
 :func:`corrupt_layout` damages a :class:`~repro.layout.layout.MemoryLayout`
 in one of :data:`LAYOUT_CORRUPTIONS` ways, bypassing the layout's safe
 setters exactly like a buggy driver would.
@@ -35,8 +35,6 @@ setters exactly like a buggy driver would.
 from __future__ import annotations
 
 import hashlib
-import json
-import pathlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,13 +93,14 @@ class FaultPlan:
 
 
 def corrupt_disk_tier(path, fraction: float, seed: int = 0) -> int:
-    """Damage a deterministic ``fraction`` of a campaign disk tier's rows.
+    """Damage a deterministic ``fraction`` of a result store's rows.
 
     Overwrites the chosen rows' checksums in the SQLite ``results``
-    table, so the next scan must quarantine them and the coordinator
-    must re-simulate those items.  Returns the number of rows damaged.
-    Chaos-test helper — the write path deliberately bypasses
-    :class:`~repro.campaign.disktier.DiskTier`.
+    table, so the next read must quarantine them and the sweep or
+    campaign must re-simulate those runs.  Returns the number of rows
+    damaged.  Chaos-test helper — the write path deliberately bypasses
+    :class:`~repro.engine.store.CrashSafeStore`, exactly like real bit
+    rot would.
     """
     import sqlite3
 
@@ -273,23 +272,3 @@ def corrupt_layout(prog, layout, kind: str, seed: int = 0) -> str:
         layout._dim_sizes[victim.name] = tuple(sizes)
         return f"exploded {victim.name} dim 0 to {sizes[0]}"
     raise AssertionError(f"unhandled corruption kind {kind}")  # pragma: no cover
-
-
-def corrupt_store_entries(path, fraction: float, seed: int = 0) -> int:
-    """Damage a deterministic ``fraction`` of a schema-2 store's entries.
-
-    Overwrites the chosen entries' checksums so the next load must drop and
-    quarantine them.  Returns the number of entries corrupted.  Chaos-test
-    helper: writes the file directly, bypassing the store's atomic path,
-    exactly like real bit rot would.
-    """
-    store_path = pathlib.Path(path)
-    doc = json.loads(store_path.read_text())
-    entries = doc.get("entries", {})
-    hit = 0
-    for key in sorted(entries):
-        if unit_interval(seed, key, 0) < fraction:
-            entries[key]["sum"] = "deadbeef"
-            hit += 1
-    store_path.write_text(json.dumps(doc))
-    return hit

@@ -39,7 +39,7 @@ DEFAULT_FIGURES = (
 )
 """The default ``run-all`` set: every non-sweep evaluation figure."""
 
-STORE_FILENAME = "runner_cache.json"
+STORE_FILENAME = "runner_cache.db"
 JOURNAL_FILENAME = "journal.jsonl"
 
 
@@ -136,7 +136,6 @@ class SweepReport:
     outcomes: List[RunOutcome]
     renders: Dict[str, str]  # figure name -> rendered text (or placeholder)
     wall_time: float
-    store_path: Optional[pathlib.Path] = None
     journal_path: Optional[pathlib.Path] = None
 
     def counts(self) -> Dict[str, int]:
@@ -170,10 +169,8 @@ def run_figures(
         requests = collect_requests(figures, programs)
 
     store = None
-    store_path = None
     if cache_dir:
-        store_path = pathlib.Path(cache_dir) / STORE_FILENAME
-        store = CrashSafeStore(store_path)
+        store = CrashSafeStore(pathlib.Path(cache_dir) / STORE_FILENAME)
         if journal_path is None:
             journal_path = pathlib.Path(cache_dir) / JOURNAL_FILENAME
     journal = RunJournal(journal_path) if journal_path else NullJournal()
@@ -196,6 +193,8 @@ def run_figures(
         guard_runtime.remove_sink(_journal_guard)
         obs.remove_span_sink(_journal_span)
         journal.close()
+        if store is not None:
+            store.close()
 
     runner = PrimedRunner()
     for outcome in outcomes:
@@ -217,6 +216,5 @@ def run_figures(
         outcomes=outcomes,
         renders=renders,
         wall_time=time.monotonic() - start,
-        store_path=store_path,
         journal_path=pathlib.Path(journal_path) if journal_path else None,
     )

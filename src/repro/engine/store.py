@@ -1,40 +1,65 @@
-"""Crash-safe persistent key/value store for simulation results.
+"""Crash-safe persistent result store (SQLite, checksummed per row).
 
-On-disk layout (schema 2)::
+The one durable store for simulation results keyed by
+:func:`~repro.experiments.runner.request_key`: ``run-all --cache-dir``,
+:class:`~repro.experiments.runner.Runner` and campaigns all commit here.
 
-    {"schema": 2,
-     "entries": {"<key>": {"value": <json>, "sum": "<crc32 of canonical value>"}}}
+Layout::
 
-Guarantees:
+    results(key TEXT PRIMARY KEY, value TEXT, sum TEXT, created_ts REAL)
+    quarantine(key TEXT, value TEXT, sum TEXT, reason TEXT, ts REAL)
 
-* **Atomic writes** — every update goes to ``<name>.tmp``, is fsynced,
-  then renamed over the store (and the directory is fsynced), so a crash
-  mid-write leaves either the old or the new store, never a torn one.
-* **Per-entry checksums** — a flipped byte invalidates one entry, not the
-  whole sweep's worth of results.
-* **Quarantine-and-continue** — an unreadable file (or one with corrupt
-  entries) is preserved as ``<name>.corrupt-<n>`` and a warning is
-  logged; the surviving entries keep working.  With ``strict=True``
-  corruption raises :class:`~repro.errors.StoreCorruption` instead.
-* **Schema versioning** — legacy schema-1 stores (a flat key->value JSON
-  object, the format of the original ``_DiskStore``) are migrated on
-  load; unknown future schemas are quarantined rather than misread.
+``value`` is the canonical JSON of an engine ``pack_record`` payload;
+``sum`` is :func:`checksum` of that value.  Guarantees:
+
+* **Atomic commits** — every :meth:`CrashSafeStore.put` is one SQLite
+  transaction, so a crash mid-write leaves the old row or the new one,
+  never a torn one.  A committed row is the resume point: it is never
+  re-simulated.
+* **Per-row checksums** — a flipped byte condemns one row, not the
+  sweep's worth of results.  Condemned rows move to the ``quarantine``
+  table (forensics) and read as missing, so their work re-runs.
+* **Whole-file quarantine** — a file that is not a database, or whose
+  ``results`` table has a foreign shape, is renamed to
+  ``<name>.corrupt-<n>`` with a logged warning and a fresh store starts.
+* ``strict=True`` raises :class:`~repro.errors.StoreCorruption` instead
+  of quarantining.
+
+The store is protected by an internal lock: a campaign coordinator
+thread owns the write side while serve status threads read progress.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import pathlib
+import sqlite3
+import threading
+import time
 import zlib
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import StoreCorruption
+from repro.obs import runtime as obs
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 2
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS results (
+    key        TEXT PRIMARY KEY,
+    value      TEXT NOT NULL,
+    sum        TEXT NOT NULL,
+    created_ts REAL NOT NULL
+);
+CREATE TABLE IF NOT EXISTS quarantine (
+    key    TEXT NOT NULL,
+    value  TEXT,
+    sum    TEXT,
+    reason TEXT NOT NULL,
+    ts     REAL NOT NULL
+);
+"""
 
 
 def checksum(value: Any) -> str:
@@ -44,115 +69,56 @@ def checksum(value: Any) -> str:
 
 
 class CrashSafeStore:
-    """Checksummed, atomically-written JSON store."""
+    """Checksummed, durably-committed SQLite key/value result store."""
 
     def __init__(self, path, strict: bool = False):
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.strict = strict
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        #: corrupt entries dropped during load
-        self.dropped = 0
-        #: where the corrupt file went, if quarantine happened
-        self.quarantined: Optional[pathlib.Path] = None
-        if self.path.exists():
-            self._load()
+        #: where a whole corrupt database went, if that happened
+        self.quarantined_file: Optional[pathlib.Path] = None
+        self._lock = threading.Lock()
+        self._conn = self._open()
 
-    # -- read side ---------------------------------------------------------
+    # -- connection / whole-file quarantine ---------------------------------
 
-    def get(self, key: str) -> Optional[Any]:
-        """The stored value for ``key``, or None."""
-        entry = self._entries.get(key)
-        return None if entry is None else entry["value"]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def keys(self) -> Iterator[str]:
-        """Iterate over the stored run keys."""
-        return iter(self._entries)
-
-    # -- write side --------------------------------------------------------
-
-    def put(self, key: str, value: Any) -> None:
-        """Store one value and persist atomically."""
-        self._entries[key] = {"value": value, "sum": checksum(value)}
-        self._write()
-
-    def put_many(self, items: Dict[str, Any]) -> None:
-        """Store several values with a single atomic write."""
-        for key, value in items.items():
-            self._entries[key] = {"value": value, "sum": checksum(value)}
-        self._write()
-
-    def _write(self) -> None:
-        doc = {"schema": SCHEMA_VERSION, "entries": self._entries}
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        try:  # make the rename itself durable
-            dirfd = os.open(self.path.parent, os.O_RDONLY)
+    def _open(self) -> sqlite3.Connection:
+        try:
+            return self._connect()
+        except sqlite3.DatabaseError as exc:
+            if self.strict:
+                raise StoreCorruption(f"{self.path}: {exc}") from None
+            dest = self._quarantine_path()
             try:
-                os.fsync(dirfd)
-            finally:
-                os.close(dirfd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
-
-    # -- loading and quarantine --------------------------------------------
-
-    def _load(self) -> None:
-        try:
-            raw = self.path.read_text()
-        except OSError as exc:
-            self._quarantine(f"unreadable: {exc}")
-            return
-        try:
-            doc = json.loads(raw)
-        except ValueError as exc:
-            self._quarantine(f"invalid JSON: {exc}")
-            return
-        if not isinstance(doc, dict):
-            self._quarantine(f"expected a JSON object, got {type(doc).__name__}")
-            return
-        if "schema" not in doc:
-            # schema 1: a flat {key: value} object; adopt with fresh sums.
-            self._entries = {
-                key: {"value": value, "sum": checksum(value)}
-                for key, value in doc.items()
-            }
-            return
-        if doc.get("schema") != SCHEMA_VERSION:
-            self._quarantine(f"unsupported schema {doc.get('schema')!r}")
-            return
-        entries = doc.get("entries")
-        if not isinstance(entries, dict):
-            self._quarantine("schema-2 store without an entries object")
-            return
-        good: Dict[str, Dict[str, Any]] = {}
-        for key, entry in entries.items():
-            if (
-                isinstance(entry, dict)
-                and "value" in entry
-                and entry.get("sum") == checksum(entry["value"])
-            ):
-                good[key] = entry
-            else:
-                self.dropped += 1
-        self._entries = good
-        if self.dropped:
-            # keep the original bytes for forensics, carry on with the rest
-            self._quarantine(
-                f"{self.dropped} entr{'y' if self.dropped == 1 else 'ies'} "
-                "failed checksum",
-                keep_original=True,
+                self.path.rename(dest)
+                self.quarantined_file = dest
+            except OSError:  # pragma: no cover - racing deletes
+                dest = None
+            log.warning(
+                "result store %s unreadable (%s); quarantined to %s and "
+                "starting fresh", self.path, exc, dest,
             )
+            obs.counter_add(
+                "repro_campaign_tier_quarantined_total", 1,
+                "disk-tier artifacts quarantined, by scope", scope="file",
+            )
+            return self._connect()
+
+    def _connect(self) -> sqlite3.Connection:
+        conn = sqlite3.connect(str(self.path), check_same_thread=False)
+        try:
+            conn.executescript(_SCHEMA)
+            conn.commit()
+            # a cheap integrity probe: a truncated/overwritten file often
+            # opens fine and only fails on first real read, and a foreign
+            # ``results`` table fails here rather than on every lookup
+            conn.execute(
+                "SELECT key, value, sum, created_ts FROM results LIMIT 1"
+            ).fetchone()
+        except sqlite3.DatabaseError:
+            conn.close()
+            raise
+        return conn
 
     def _quarantine_path(self) -> pathlib.Path:
         n = 0
@@ -162,18 +128,118 @@ class CrashSafeStore:
                 return candidate
             n += 1
 
-    def _quarantine(self, reason: str, keep_original: bool = False) -> None:
-        if self.strict:
-            raise StoreCorruption(f"{self.path}: {reason}")
-        dest = self._quarantine_path()
+    # -- read side ----------------------------------------------------------
+
+    def get(self, key: str) -> Optional[Any]:
+        """The stored value for ``key``; corrupt rows quarantine to None."""
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT value, sum FROM results WHERE key = ?", (key,)
+            ).fetchone()
+            if row is None:
+                obs.counter_add(
+                    "repro_campaign_tier_lookups_total", 1,
+                    "disk-tier lookups, by outcome", outcome="miss",
+                )
+                return None
+            value = self._decode(key, row[0], row[1])
+            obs.counter_add(
+                "repro_campaign_tier_lookups_total", 1,
+                "disk-tier lookups, by outcome",
+                outcome="hit" if value is not None else "quarantined",
+            )
+            return value
+
+    def __contains__(self, key: str) -> bool:
+        return self.get(key) is not None
+
+    def __len__(self) -> int:
+        with self._lock:
+            return self._conn.execute(
+                "SELECT COUNT(*) FROM results"
+            ).fetchone()[0]
+
+    def scan(self) -> Dict[str, Any]:
+        """Every valid (key, value); corrupt rows are quarantined en route.
+
+        This is the resume recovery scan: its result set is exactly the
+        work a campaign coordinator will *not* re-simulate.
+        """
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT key, value, sum FROM results ORDER BY key"
+            ).fetchall()
+            good: Dict[str, Any] = {}
+            for key, raw, digest in rows:
+                value = self._decode(key, raw, digest)
+                if value is not None:
+                    good[key] = value
+            return good
+
+    def quarantine_rows(self) -> List[Tuple[str, str]]:
+        """(key, reason) for every quarantined row, oldest first."""
+        with self._lock:
+            return [
+                (key, reason)
+                for key, reason in self._conn.execute(
+                    "SELECT key, reason FROM quarantine ORDER BY ts, key"
+                )
+            ]
+
+    # -- write side ----------------------------------------------------------
+
+    def put(self, key: str, value: Any) -> None:
+        """Durably commit one value (the resume commit point)."""
+        blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        with self._lock:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO results (key, value, sum, created_ts) "
+                "VALUES (?, ?, ?, ?)",
+                (key, blob, checksum(value), time.time()),
+            )
+            self._conn.commit()
+
+    def close(self) -> None:
+        """Close the underlying connection (pending writes are committed)."""
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> "CrashSafeStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- row-level quarantine -------------------------------------------------
+
+    def _decode(self, key: str, raw: str, digest: str) -> Optional[Any]:
+        """Validate one row; bad rows move to the quarantine table.
+
+        Caller holds the lock.
+        """
         try:
-            if keep_original:
-                dest.write_bytes(self.path.read_bytes())
-            else:
-                self.path.rename(dest)
-            self.quarantined = dest
-        except OSError:  # pragma: no cover - racing deletes
-            dest = None
-        log.warning(
-            "result store %s corrupt (%s); quarantined to %s", self.path, reason, dest
+            value = json.loads(raw)
+        except ValueError:
+            return self._condemn(key, raw, digest, "invalid JSON")
+        if checksum(value) != digest:
+            return self._condemn(key, raw, digest, "checksum mismatch")
+        return value
+
+    def _condemn(self, key: str, raw, digest, reason: str) -> None:
+        if self.strict:
+            raise StoreCorruption(f"{self.path}: row {key!r}: {reason}")
+        self._conn.execute(
+            "INSERT INTO quarantine (key, value, sum, reason, ts) "
+            "VALUES (?, ?, ?, ?, ?)",
+            (key, raw, digest, reason, time.time()),
         )
+        self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
+        self._conn.commit()
+        log.warning(
+            "result store %s: quarantined row %s (%s)", self.path, key, reason
+        )
+        obs.counter_add(
+            "repro_campaign_tier_quarantined_total", 1,
+            "disk-tier artifacts quarantined, by scope", scope="row",
+        )
+        return None

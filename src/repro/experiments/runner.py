@@ -9,9 +9,9 @@ Heuristics are addressed by name so figures and benchmarks can enumerate
 them; see :data:`HEURISTICS`.
 
 Persistence goes through :class:`repro.engine.store.CrashSafeStore`
-(atomic writes, per-entry checksums, quarantine-and-continue), so a
-killed sweep resumes from its completed runs and a corrupted store loses
-only the damaged entries.  For parallel, fault-tolerant execution of many
+(atomic SQLite commits, per-row checksums, quarantine-and-continue), so
+a killed sweep resumes from its completed runs and a corrupted store
+loses only the damaged rows.  For parallel, fault-tolerant execution of many
 requests see :mod:`repro.engine`.
 """
 
@@ -111,14 +111,12 @@ def unpack_record(record: dict) -> Tuple[CacheStats, str]:
 class Runner:
     """Memoizing simulation driver.
 
-    ``cache_dir`` enables a persistent result store keyed by every field
-    of the run request, so repeated benchmark invocations (and the
-    default-then-full workflow) skip already-simulated combinations.
-    ``tier`` plugs in a durable result tier (anything with ``get``/``put``
-    of packed records keyed by :func:`request_key`, e.g.
-    :class:`repro.campaign.DiskTier`) below the in-memory memo: lookups
-    fall through memory → JSON disk store → tier, and fresh results are
-    written back to every enabled layer.
+    ``store`` plugs a durable result store (anything with ``get``/``put``
+    of packed records keyed by :func:`request_key`, i.e. a
+    :class:`repro.engine.store.CrashSafeStore`) in below the in-memory
+    memo: lookups fall through memory → store, and answers new to the
+    memo are written through to the store, so repeated invocations skip
+    already-simulated combinations.
 
     ``jit`` is the trace-engine policy (``"on"``/``"off"``/``"auto"``,
     see :mod:`repro.jit`).  It is execution policy, not part of the memo
@@ -139,8 +137,7 @@ class Runner:
     #: recognised analytic tier-0 policies
     PREDICT_MODES = ("analytic", "auto", "sim")
 
-    def __init__(self, cache_dir: Optional[str] = None, tier=None,
-                 jit: str = "auto", predict: str = "sim"):
+    def __init__(self, store=None, jit: str = "auto", predict: str = "sim"):
         #: trace-engine policy; mutable so engine workers can follow the
         #: per-task mode their parent sends
         self.jit = resolve_mode(jit)
@@ -152,17 +149,14 @@ class Runner:
         #: analytic tier-0 policy; mutable like :attr:`jit`
         self.predict = predict
         #: where the most recent :meth:`run` answer came from
-        #: (``analytic``/``memory``/``disk``/``sqlite``/``sim``, or None)
+        #: (``analytic``/``memory``/``sqlite``/``sim``, or None)
         self.last_tier: Optional[str] = None
         self._predictions: Dict[Tuple[RunRequest, Optional[int]], object] = {}
         self._stats: Dict[RunRequest, CacheStats] = {}
         self._programs: Dict[Tuple[str, Optional[int]], Program] = {}
         self._paddings: Dict[Tuple, PaddingResult] = {}
-        self._disk = _DiskStore(cache_dir) if cache_dir else None
-        # an optional durable result tier (duck-typed get/put of packed
-        # records keyed by request_key — e.g. repro.campaign.DiskTier)
-        # slotting *under* the in-memory memo and the JSON disk store
-        self._tier = tier
+        # the optional durable result store under the in-memory memo
+        self._store = store
         self._guard_reports: Dict[RunRequest, object] = {}
         #: guard verdict of the most recent :meth:`run` (None = unguarded)
         self.last_guard = None
@@ -257,16 +251,13 @@ class Runner:
         if self.predict != "sim":
             # Tier 0: closed-form miss counts, consulted before the memo
             # tiers.  Analytic answers are exact, so they are also primed
-            # into the memo and written through to the durable layers.
+            # into the memo and, when new to it, written through to the
+            # durable store.
+            known = request in self._stats
             analytic = self.analytic_lookup(request)
             if analytic is not None:
-                if self._disk is not None:
-                    self._disk.put(request, analytic, status="analytic")
-                if self._tier is not None:
-                    self._tier.put(
-                        request_key(request),
-                        pack_record(analytic, "analytic"),
-                    )
+                if not known:
+                    self._write_through(request, analytic, "analytic")
                 return analytic
             if self.predict == "analytic":
                 # forced analytic: surface the bailout report instead of
@@ -290,16 +281,14 @@ class Runner:
         if report is not None:
             self._guard_reports[request] = report
         self.last_guard = report
-        if self._disk is not None:
-            self._disk.put(
-                request, stats, status=report.status if report else "ok"
-            )
-        if self._tier is not None:
-            self._tier.put(
-                request_key(request),
-                pack_record(stats, report.status if report else "ok"),
-            )
+        self._write_through(request, stats, report.status if report else "ok")
         return stats
+
+    def _write_through(
+        self, request: RunRequest, stats: CacheStats, status: str
+    ) -> None:
+        if self._store is not None:
+            self._store.put(request_key(request), pack_record(stats, status))
 
     def execute(self, request: RunRequest, simulator: str = "fast") -> CacheStats:
         """Simulate one resolved request, bypassing every result cache."""
@@ -461,7 +450,7 @@ class Runner:
         """Memoized stats for a resolved request, or ``None`` on a miss.
 
         Counts the memo-tier hit (``repro_runner_memo_hits_total``,
-        labelled ``memory`` or ``disk``) or the miss, and updates
+        labelled ``memory`` or ``sqlite``) or the miss, and updates
         :attr:`last_guard`, exactly like the front half of :meth:`run`.
         The serve micro-batcher peeks here before dispatching a batch to
         the engine, so repeat requests never re-simulate.
@@ -474,19 +463,8 @@ class Runner:
             self.last_tier = "memory"
             self.last_guard = self._guard_reports.get(request)
             return self._stats[request]
-        if self._disk is not None:
-            stored = self._disk.get(request)
-            if stored is not None:
-                obs.counter_add(
-                    "repro_runner_memo_hits_total", 1,
-                    "simulation results served from memory", tier="disk",
-                )
-                self.last_tier = "disk"
-                self._stats[request] = stored
-                self.last_guard = None
-                return stored
-        if self._tier is not None:
-            record = self._tier.get(request_key(request))
+        if self._store is not None:
+            record = self._store.get(request_key(request))
             if record is not None:
                 try:
                     stats, _status = unpack_record(record)
@@ -538,36 +516,6 @@ class Runner:
         self._guard_reports.clear()
         self.last_guard = None
         self.last_tier = None
-
-
-class _DiskStore:
-    """Request-keyed facade over the crash-safe store.
-
-    Corrupted files are quarantined to ``runner_cache.json.corrupt-<n>``
-    (with a logged warning) instead of being silently reset; the
-    surviving entries keep serving.
-    """
-
-    def __init__(self, directory: str):
-        import pathlib
-
-        from repro.engine.store import CrashSafeStore
-
-        self.path = pathlib.Path(directory) / "runner_cache.json"
-        self._store = CrashSafeStore(self.path)
-
-    def get(self, request: RunRequest) -> Optional[CacheStats]:
-        record = self._store.get(request_key(request))
-        if record is None:
-            return None
-        try:
-            stats, _status = unpack_record(record)
-        except (TypeError, KeyError):
-            return None  # malformed legacy entry: recompute
-        return stats
-
-    def put(self, request: RunRequest, stats: CacheStats, status: str = "ok") -> None:
-        self._store.put(request_key(request), pack_record(stats, status))
 
 
 def _rebind_layout(layout: MemoryLayout, prog: Program) -> MemoryLayout:

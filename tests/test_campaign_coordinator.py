@@ -6,13 +6,13 @@ import json
 import pytest
 
 from repro.campaign.coordinator import Coordinator
-from repro.campaign.disktier import DiskTier
 from repro.campaign.plan import compile_plan
 from repro.campaign.spec import parse_spec
 from repro.chaos import ChaosSchedule
 from repro.engine.core import EngineConfig, ExperimentEngine
 from repro.engine.faults import FaultPlan
 from repro.engine.journal import RunJournal, read_journal
+from repro.engine.store import CrashSafeStore
 from repro.errors import CampaignError
 
 pytestmark = [pytest.mark.engine]
@@ -48,7 +48,7 @@ class TestRun:
         assert report.completed == len(plan.items)
         assert report.cached == 0
         # every item hit the durable tier before being journaled done
-        with DiskTier(tmp_path / "campaign.db") as tier:
+        with CrashSafeStore(tmp_path / "campaign.db") as tier:
             assert len(tier) == len(plan.items)
         assert len(events(tmp_path, "item_completed")) == len(plan.items)
         assert events(tmp_path, "campaign_start")

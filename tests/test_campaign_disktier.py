@@ -1,17 +1,23 @@
-"""Durable SQLite disk tier: checksums, quarantine, corruption survival."""
+"""The campaign disk tier: checksums, quarantine, corruption survival.
+
+A campaign's tier is the one result store,
+:class:`~repro.engine.store.CrashSafeStore`, opened at
+``<workdir>/campaign.db``.  These cases pin what the coordinator relies
+on when it resumes from that file.
+"""
 
 import sqlite3
 
 import pytest
 
-from repro.campaign.disktier import DiskTier
-from repro.engine.store import checksum
+from repro.campaign.coordinator import TIER_FILENAME
+from repro.engine.store import CrashSafeStore, checksum
 from repro.errors import StoreCorruption
 
 
 @pytest.fixture
 def tier(tmp_path):
-    with DiskTier(tmp_path / "tier.db") as t:
+    with CrashSafeStore(tmp_path / TIER_FILENAME) as t:
         yield t
 
 
@@ -54,21 +60,21 @@ class TestRoundTrip:
         assert tier.scan() == {"a": 1, "b": 2}
 
     def test_survives_reopen(self, tmp_path):
-        path = tmp_path / "tier.db"
-        with DiskTier(path) as t:
+        path = tmp_path / TIER_FILENAME
+        with CrashSafeStore(path) as t:
             t.put("k", {"v": 1})
-        with DiskTier(path) as t:
+        with CrashSafeStore(path) as t:
             assert t.get("k") == {"v": 1}
 
 
 class TestRowQuarantine:
     def test_bad_checksum_row_quarantined(self, tmp_path):
-        path = tmp_path / "tier.db"
-        with DiskTier(path) as t:
+        path = tmp_path / TIER_FILENAME
+        with CrashSafeStore(path) as t:
             t.put("good", {"v": 1})
             t.put("bad", {"v": 2})
         flip_checksum(path, "bad")
-        with DiskTier(path) as t:
+        with CrashSafeStore(path) as t:
             assert t.get("bad") is None
             assert t.get("good") == {"v": 1}
             rows = t.quarantine_rows()
@@ -78,20 +84,20 @@ class TestRowQuarantine:
             assert t.scan() == {"good": {"v": 1}}
 
     def test_half_written_value_quarantined(self, tmp_path):
-        path = tmp_path / "tier.db"
-        with DiskTier(path) as t:
+        path = tmp_path / TIER_FILENAME
+        with CrashSafeStore(path) as t:
             t.put("torn", {"v": 1})
         mangle_value(path, "torn")
-        with DiskTier(path) as t:
+        with CrashSafeStore(path) as t:
             assert t.scan() == {}
             assert t.quarantine_rows() == [("torn", "invalid JSON")]
 
     def test_strict_mode_raises_instead(self, tmp_path):
-        path = tmp_path / "tier.db"
-        with DiskTier(path) as t:
+        path = tmp_path / TIER_FILENAME
+        with CrashSafeStore(path) as t:
             t.put("bad", {"v": 1})
         flip_checksum(path, "bad")
-        with DiskTier(path, strict=True) as t:
+        with CrashSafeStore(path, strict=True) as t:
             with pytest.raises(StoreCorruption, match="checksum mismatch"):
                 t.get("bad")
 
@@ -106,24 +112,24 @@ class TestRowQuarantine:
 
 class TestFileQuarantine:
     def test_garbage_file_renamed_and_fresh_tier_started(self, tmp_path):
-        path = tmp_path / "tier.db"
+        path = tmp_path / TIER_FILENAME
         path.write_bytes(b"this is not a sqlite database at all\x00\xff" * 64)
-        with DiskTier(path) as t:
+        with CrashSafeStore(path) as t:
             assert t.quarantined_file is not None
             assert t.quarantined_file.exists()
-            assert t.quarantined_file.name.startswith("tier.db.corrupt-")
+            assert t.quarantined_file.name.startswith(f"{TIER_FILENAME}.corrupt-")
             t.put("k", {"v": 1})
             assert t.get("k") == {"v": 1}
 
     def test_garbage_file_strict_raises(self, tmp_path):
-        path = tmp_path / "tier.db"
+        path = tmp_path / TIER_FILENAME
         path.write_bytes(b"garbage" * 1024)
         with pytest.raises(StoreCorruption):
-            DiskTier(path, strict=True)
+            CrashSafeStore(path, strict=True)
 
     def test_second_quarantine_gets_fresh_suffix(self, tmp_path):
-        path = tmp_path / "tier.db"
-        for expected in ("tier.db.corrupt-0", "tier.db.corrupt-1"):
+        path = tmp_path / TIER_FILENAME
+        for n in range(2):
             path.write_bytes(b"garbage" * 1024)
-            with DiskTier(path) as t:
-                assert t.quarantined_file.name == expected
+            with CrashSafeStore(path) as t:
+                assert t.quarantined_file.name == f"{TIER_FILENAME}.corrupt-{n}"

@@ -130,9 +130,9 @@ class TestCorruptTier:
         Coordinator(plan, tmp_path, jobs=2).run()
         # a row that passes its checksum but no longer unpacks as a
         # (stats, status) record: e.g. an old schema or foreign payload
-        from repro.campaign.disktier import DiskTier
+        from repro.engine.store import CrashSafeStore
 
-        with DiskTier(tmp_path / "campaign.db") as tier:
+        with CrashSafeStore(tmp_path / "campaign.db") as tier:
             tier.put(plan.items[0].key, {"unexpected": "shape"})
         report = Coordinator(plan, tmp_path, jobs=2).run(resume=True)
         assert report.ok

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import cli, errors
+from repro.engine.store import CrashSafeStore
 from repro.errors import (
     ConfigError,
     EngineError,
@@ -117,8 +118,9 @@ class TestRunAllCli:
         assert "Figure 9" in out
         assert "run-all:" in out
         # the chaos harness really ran: store + journal exist and are sane
-        store = json.loads((tmp_path / "runner_cache.json").read_text())
-        assert store["schema"] == 2
+        with CrashSafeStore(tmp_path / "runner_cache.db") as store:
+            assert len(store.scan()) == len(store) > 0
+            assert store.quarantine_rows() == []
         journal = [
             json.loads(line)
             for line in (tmp_path / "journal.jsonl").read_text().splitlines()

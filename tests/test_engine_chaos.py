@@ -13,7 +13,7 @@ import pytest
 
 from repro.chaos import parse_schedule
 from repro.engine.core import EngineConfig, ExperimentEngine
-from repro.engine.faults import corrupt_store_entries
+from repro.engine.faults import corrupt_disk_tier
 from repro.engine.journal import RunJournal, read_journal
 from repro.engine.plan import collect_requests
 from repro.engine.store import CrashSafeStore
@@ -54,7 +54,7 @@ class TestChaosSweep:
         assert len(requests) == 5 * len(CHAOS_PROGRAMS)
 
         journal_path = tmp_path / "journal.jsonl"
-        store = CrashSafeStore(tmp_path / "runner_cache.json")
+        store = CrashSafeStore(tmp_path / "runner_cache.db")
         engine = ExperimentEngine(_chaos_config())
         outcomes = engine.run_many(
             requests, store=store, journal=RunJournal(journal_path)
@@ -93,7 +93,7 @@ class TestChaosSweep:
 class TestKillAndResume:
     def test_resume_recomputes_only_unfinished_runs(self, tmp_path):
         requests = collect_requests(["fig9"], programs=("dot", "jacobi", "chol"))
-        store_path = tmp_path / "runner_cache.json"
+        store_path = tmp_path / "runner_cache.db"
 
         # First sweep dies (kill -9) after finishing a prefix of the runs:
         # the crash-safe store already holds exactly those results.
@@ -116,20 +116,21 @@ class TestKillAndResume:
 
     def test_corrupted_store_entries_recomputed_not_trusted(self, tmp_path):
         requests = collect_requests(["fig9"], programs=("dot", "jacobi"))
-        store_path = tmp_path / "runner_cache.json"
+        store_path = tmp_path / "runner_cache.db"
         ExperimentEngine(_chaos_config(faults=None)).run_many(
             requests, store=CrashSafeStore(store_path)
         )
 
-        hit = corrupt_store_entries(store_path, fraction=0.4, seed=5)
+        hit = corrupt_disk_tier(store_path, fraction=0.4, seed=5)
         assert hit > 0
 
-        store = CrashSafeStore(store_path)  # quarantines the damaged entries
-        assert store.dropped == hit
         journal_path = tmp_path / "j.jsonl"
-        outcomes = ExperimentEngine(_chaos_config(faults=None)).run_many(
-            requests, store=store, journal=RunJournal(journal_path)
-        )
+        with CrashSafeStore(store_path) as store:
+            # the sweep's lookups quarantine the damaged rows
+            outcomes = ExperimentEngine(_chaos_config(faults=None)).run_many(
+                requests, store=store, journal=RunJournal(journal_path)
+            )
+            assert len(store.quarantine_rows()) == hit
         by_status = collections.Counter(o.status for o in outcomes)
         assert by_status["cached"] == len(requests) - hit
         assert by_status["ok"] == hit

@@ -196,7 +196,7 @@ class TestGracefulDegradation:
 class TestResume:
     def test_store_hits_short_circuit(self, tmp_path):
         requests = _requests(4)
-        store = CrashSafeStore(tmp_path / "s.json")
+        store = CrashSafeStore(tmp_path / "s.db")
         first = ExperimentEngine(_fast_config()).run_many(
             requests[:2], store=store
         )
@@ -204,7 +204,7 @@ class TestResume:
 
         journal_path = tmp_path / "j.jsonl"
         second = ExperimentEngine(_fast_config()).run_many(
-            requests, store=CrashSafeStore(tmp_path / "s.json"),
+            requests, store=CrashSafeStore(tmp_path / "s.db"),
             journal=RunJournal(journal_path),
         )
         statuses = [o.status for o in second]
@@ -216,12 +216,37 @@ class TestResume:
 
     def test_cached_stats_equal_fresh_ones(self, tmp_path):
         requests = _requests(2)
-        store = CrashSafeStore(tmp_path / "s.json")
+        store = CrashSafeStore(tmp_path / "s.db")
         fresh = ExperimentEngine(_fast_config()).run_many(requests, store=store)
         cached = ExperimentEngine(_fast_config()).run_many(requests, store=store)
         for a, b in zip(fresh, cached):
             assert b.status == "cached"
             assert a.stats == b.stats
+
+
+    def test_failed_commit_journals_no_finish(self, tmp_path):
+        # store first, journal second: a put that fails must not leave a
+        # finish event the store cannot back
+        class FullDisk:
+            def get(self, key):
+                return None
+
+            def put(self, key, value):
+                raise OSError("disk full")
+
+        request = _requests(1)[0]
+        journal_path = tmp_path / "j.jsonl"
+        with RunJournal(journal_path) as journal:
+            with pytest.raises(OSError, match="disk full"):
+                ExperimentEngine(_fast_config()).run_many(
+                    [request], store=FullDisk(), journal=journal
+                )
+        events = read_journal(journal_path)
+        assert any(e["event"] == "start" for e in events)
+        assert not [
+            e for e in events
+            if e["event"] == "finish" and e["run"] == request_key(request)
+        ]
 
 
 class TestJournal:

@@ -1,17 +1,19 @@
 """Tests for deterministic fault injection."""
 
-import json
+import sqlite3
 
 import pytest
 
+from repro.campaign.coordinator import TIER_FILENAME
 from repro.engine.faults import (
     FAULT_KINDS,
     FaultPlan,
-    corrupt_store_entries,
+    corrupt_disk_tier,
     unit_interval,
 )
 from repro.chaos import ChaosSchedule, parse_schedule
-from repro.engine.store import CrashSafeStore
+from repro.engine.plan import STORE_FILENAME
+from repro.engine.store import CrashSafeStore, checksum
 from repro.errors import ConfigError
 
 
@@ -73,24 +75,34 @@ class TestParseSpec:
 
 
 class TestCorruptStoreEntries:
+    """The same helper damages the ``run-all --cache-dir`` sweep store."""
+
     def test_corrupts_deterministic_fraction(self, tmp_path):
-        path = tmp_path / "s.json"
-        store = CrashSafeStore(path)
-        store.put_many({f"key-{i}": {"n": i} for i in range(40)})
+        path = tmp_path / STORE_FILENAME
+        with CrashSafeStore(path) as store:
+            for i in range(40):
+                store.put(f"key-{i}", {"n": i})
 
-        hit = corrupt_store_entries(path, fraction=0.25, seed=3)
+        hit = corrupt_disk_tier(path, fraction=0.25, seed=3)
         assert 0 < hit < 40
-        assert hit == corrupt_store_entries(path, fraction=0.25, seed=3)
+        assert hit == corrupt_disk_tier(path, fraction=0.25, seed=3)
 
-        reopened = CrashSafeStore(path)
-        assert reopened.dropped == hit
-        assert len(reopened) == 40 - hit
+        with CrashSafeStore(path) as reopened:
+            assert len(reopened.scan()) == 40 - hit
+            assert len(reopened.quarantine_rows()) == hit
+            assert len(reopened) == 40 - hit
 
     def test_zero_fraction_touches_nothing(self, tmp_path):
-        path = tmp_path / "s.json"
-        CrashSafeStore(path).put("k", 1)
-        assert corrupt_store_entries(path, fraction=0.0) == 0
-        assert json.loads(path.read_text())["entries"]["k"]["sum"] != "deadbeef"
+        path = tmp_path / STORE_FILENAME
+        with CrashSafeStore(path) as store:
+            store.put("k", 1)
+        assert corrupt_disk_tier(path, fraction=0.0) == 0
+        conn = sqlite3.connect(str(path))
+        (digest,) = conn.execute(
+            "SELECT sum FROM results WHERE key = 'k'"
+        ).fetchone()
+        conn.close()
+        assert digest == checksum(1)
 
 
 class TestCampaignFaultSpec:
@@ -133,26 +145,20 @@ class TestCampaignFaultSpec:
 
 class TestCorruptDiskTier:
     def test_flips_deterministic_fraction(self, tmp_path):
-        from repro.campaign.disktier import DiskTier
-        from repro.engine.faults import corrupt_disk_tier
-
-        path = tmp_path / "tier.db"
-        with DiskTier(path) as tier:
+        path = tmp_path / TIER_FILENAME
+        with CrashSafeStore(path) as tier:
             for i in range(20):
                 tier.put(f"key-{i}", {"n": i})
         hit = corrupt_disk_tier(path, fraction=0.5, seed=3)
         assert 0 < hit < 20
-        with DiskTier(path) as tier:
+        with CrashSafeStore(path) as tier:
             assert len(tier.scan()) == 20 - hit
             assert len(tier.quarantine_rows()) == hit
 
     def test_zero_fraction_touches_nothing(self, tmp_path):
-        from repro.campaign.disktier import DiskTier
-        from repro.engine.faults import corrupt_disk_tier
-
-        path = tmp_path / "tier.db"
-        with DiskTier(path) as tier:
+        path = tmp_path / TIER_FILENAME
+        with CrashSafeStore(path) as tier:
             tier.put("k", {"v": 1})
         assert corrupt_disk_tier(path, fraction=0.0) == 0
-        with DiskTier(path) as tier:
+        with CrashSafeStore(path) as tier:
             assert tier.get("k") == {"v": 1}

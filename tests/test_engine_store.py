@@ -1,17 +1,35 @@
-"""Tests for the crash-safe result store (atomicity, checksums, quarantine)."""
+"""The one result store: SQLite commits, per-row checksums, quarantine."""
 
-import json
-import os
+import sqlite3
+import subprocess
+import sys
 
 import pytest
 
-from repro.engine.store import SCHEMA_VERSION, CrashSafeStore, checksum
+from repro.engine.store import CrashSafeStore
 from repro.errors import StoreCorruption
 
 
+@pytest.fixture
+def store(tmp_path):
+    with CrashSafeStore(tmp_path / "s.db") as s:
+        yield s
+
+
+def update_row(path, key, **columns):
+    """Rewrite raw columns of one row, bypassing the store (bit rot)."""
+    assignments = ", ".join(f"{column} = ?" for column in columns)
+    conn = sqlite3.connect(str(path))
+    conn.execute(
+        f"UPDATE results SET {assignments} WHERE key = ?",
+        (*columns.values(), key),
+    )
+    conn.commit()
+    conn.close()
+
+
 class TestBasics:
-    def test_roundtrip(self, tmp_path):
-        store = CrashSafeStore(tmp_path / "s.json")
+    def test_roundtrip(self, store):
         store.put("a", {"x": 1})
         store.put("b", [1, 2, 3])
         assert store.get("a") == {"x": 1}
@@ -20,146 +38,99 @@ class TestBasics:
         assert "a" in store and len(store) == 2
 
     def test_survives_reopen(self, tmp_path):
-        path = tmp_path / "s.json"
-        CrashSafeStore(path).put("k", {"v": 42})
-        again = CrashSafeStore(path)
-        assert again.get("k") == {"v": 42}
+        path = tmp_path / "s.db"
+        with CrashSafeStore(path) as s:
+            s.put("k", {"v": 42})
+        with CrashSafeStore(path) as again:
+            assert again.get("k") == {"v": 42}
 
-    def test_put_many_single_write(self, tmp_path):
-        path = tmp_path / "s.json"
-        store = CrashSafeStore(path)
-        store.put_many({"a": 1, "b": 2})
-        assert CrashSafeStore(path).get("b") == 2
-
-    def test_no_tmp_left_behind(self, tmp_path):
-        path = tmp_path / "s.json"
-        CrashSafeStore(path).put("k", 1)
-        assert not (tmp_path / "s.json.tmp").exists()
-
-    def test_schema_version_written(self, tmp_path):
-        path = tmp_path / "s.json"
-        CrashSafeStore(path).put("k", 1)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == SCHEMA_VERSION
-        assert doc["entries"]["k"]["sum"] == checksum(1)
-
-
-class TestDurability:
-    """Atomic rename is only durable once the parent directory is synced:
-    a power cut after ``os.replace`` but before the directory metadata
-    reaches disk can silently resurrect the old file."""
-
-    def _record_write(self, monkeypatch, tmp_path):
-        import stat
-
-        events = []
-        real_fsync, real_replace = os.fsync, os.replace
-
-        def recording_fsync(fd):
-            events.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
-            return real_fsync(fd)
-
-        def recording_replace(src, dst):
-            events.append(("replace", None))
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(os, "fsync", recording_fsync)
-        monkeypatch.setattr(os, "replace", recording_replace)
-        CrashSafeStore(tmp_path / "s.json").put("k", 1)
-        return events
-
-    def test_parent_directory_fsynced_on_write(self, monkeypatch, tmp_path):
-        events = self._record_write(monkeypatch, tmp_path)
-        assert ("fsync", True) in events  # a directory fd was synced
-
-    def test_file_then_rename_then_dir_order(self, monkeypatch, tmp_path):
-        events = self._record_write(monkeypatch, tmp_path)
-        # tmp-file fsync strictly before the rename, directory fsync after
-        assert events.index(("fsync", False)) < events.index(("replace", None))
-        assert events.index(("replace", None)) < events.index(("fsync", True))
-
-    def test_dir_fsync_failure_is_not_fatal(self, monkeypatch, tmp_path):
-        # Some filesystems refuse O_RDONLY directory fsync; the store
-        # must degrade to plain-rename semantics, not crash.
-        def refusing_open(path, flags):
-            raise OSError("directory fsync unsupported")
-
-        monkeypatch.setattr(os, "open", refusing_open)
-        path = tmp_path / "s.json"
-        CrashSafeStore(path).put("k", {"v": 9})
-        assert CrashSafeStore(path).get("k") == {"v": 9}
+    def test_killed_mid_transaction_leaves_old_row(self, tmp_path):
+        """A writer killed before its commit must not tear the store."""
+        path = tmp_path / "s.db"
+        with CrashSafeStore(path) as s:
+            s.put("k", {"v": 1})
+        script = (
+            "import os, sqlite3, sys\n"
+            "conn = sqlite3.connect(sys.argv[1])\n"
+            "conn.execute(\"UPDATE results SET value = '{\\\"torn' "
+            "WHERE key = 'k'\")\n"
+            "os._exit(9)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(path)])
+        assert proc.returncode == 9
+        with CrashSafeStore(path) as s:
+            assert s.get("k") == {"v": 1}
+            assert s.quarantine_rows() == []
 
 
 class TestCorruption:
     def test_unparseable_file_quarantined(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text("{ definitely not json")
-        store = CrashSafeStore(path)
-        assert len(store) == 0
-        assert store.quarantined is not None
-        assert store.quarantined.name.startswith("s.json.corrupt-")
-        assert "not json" in store.quarantined.read_text()
-        # original slot is free for clean rewrites
-        store.put("k", 1)
-        assert CrashSafeStore(path).get("k") == 1
+        path = tmp_path / "s.db"
+        path.write_bytes(b"{ definitely not a database\x00\xff" * 64)
+        with CrashSafeStore(path) as s:
+            assert len(s) == 0
+            assert s.quarantined_file is not None
+            assert s.quarantined_file.name.startswith("s.db.corrupt-")
+            assert b"not a database" in s.quarantined_file.read_bytes()
+            # the original slot is free for a clean store
+            s.put("k", 1)
+        with CrashSafeStore(path) as s:
+            assert s.get("k") == 1
+            assert s.quarantined_file is None
 
     def test_quarantine_names_do_not_collide(self, tmp_path):
-        path = tmp_path / "s.json"
+        path = tmp_path / "s.db"
         for n in range(3):
             path.write_text(f"broken {n}")
-            CrashSafeStore(path)
-        names = sorted(p.name for p in tmp_path.glob("s.json.corrupt-*"))
-        assert names == ["s.json.corrupt-0", "s.json.corrupt-1", "s.json.corrupt-2"]
-
-    def test_bad_entry_dropped_others_survive(self, tmp_path):
-        path = tmp_path / "s.json"
-        store = CrashSafeStore(path)
-        store.put_many({"good": 1, "bad": 2})
-        doc = json.loads(path.read_text())
-        doc["entries"]["bad"]["sum"] = "deadbeef"
-        path.write_text(json.dumps(doc))
-
-        reopened = CrashSafeStore(path)
-        assert reopened.get("good") == 1
-        assert reopened.get("bad") is None
-        assert reopened.dropped == 1
-        # forensic copy of the damaged file is kept
-        assert reopened.quarantined is not None
-
-    def test_flipped_value_byte_detected(self, tmp_path):
-        path = tmp_path / "s.json"
-        CrashSafeStore(path).put("k", {"misses": 100})
-        doc = json.loads(path.read_text())
-        doc["entries"]["k"]["value"]["misses"] = 999  # bit rot
-        path.write_text(json.dumps(doc))
-        assert CrashSafeStore(path).get("k") is None
+            with CrashSafeStore(path) as s:
+                assert s.quarantined_file.name == f"s.db.corrupt-{n}"
+        names = sorted(p.name for p in tmp_path.glob("s.db.corrupt-*"))
+        assert names == ["s.db.corrupt-0", "s.db.corrupt-1", "s.db.corrupt-2"]
 
     def test_unknown_schema_quarantined(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps({"schema": 99, "entries": {}}))
-        store = CrashSafeStore(path)
-        assert len(store) == 0
-        assert store.quarantined is not None
+        # a SQLite file whose results table has some other shape
+        path = tmp_path / "s.db"
+        conn = sqlite3.connect(str(path))
+        conn.execute("CREATE TABLE results (key TEXT, payload BLOB)")
+        conn.commit()
+        conn.close()
+        with CrashSafeStore(path) as s:
+            assert len(s) == 0
+            assert s.quarantined_file is not None
+            s.put("k", 1)
+            assert s.get("k") == 1
+
+    def test_bad_entry_dropped_others_survive(self, tmp_path):
+        path = tmp_path / "s.db"
+        with CrashSafeStore(path) as s:
+            s.put("good", {"v": 1})
+            s.put("bad", {"v": 2})
+        update_row(path, "bad", sum="deadbeef")
+        with CrashSafeStore(path) as reopened:
+            assert reopened.get("bad") is None
+            assert reopened.get("good") == {"v": 1}
+            assert reopened.quarantine_rows() == [("bad", "checksum mismatch")]
+            # condemned rows leave the results table for good, and the
+            # damaged bytes are kept in the quarantine table
+            assert len(reopened) == 1
+            assert reopened.scan() == {"good": {"v": 1}}
+            kept = reopened._conn.execute(
+                "SELECT value, sum FROM quarantine WHERE key = 'bad'"
+            ).fetchone()
+            assert kept == ('{"v":2}', "deadbeef")
+
+    def test_flipped_value_byte_detected(self, tmp_path):
+        path = tmp_path / "s.db"
+        with CrashSafeStore(path) as s:
+            s.put("k", {"misses": 100})
+        update_row(path, "k", value='{"misses":999}')  # bit rot
+        with CrashSafeStore(path) as s:
+            assert s.get("k") is None
+            assert s.quarantine_rows() == [("k", "checksum mismatch")]
 
     def test_strict_mode_raises(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text("nope")
+        path = tmp_path / "s.db"
+        path.write_bytes(b"garbage" * 1024)
         with pytest.raises(StoreCorruption):
             CrashSafeStore(path, strict=True)
-
-    def test_torn_tmp_write_leaves_old_store(self, tmp_path):
-        """A crash between tmp write and rename must not lose the store."""
-        path = tmp_path / "s.json"
-        CrashSafeStore(path).put("k", 1)
-        (tmp_path / "s.json.tmp").write_text("{ torn half-writ")  # crash artifact
-        assert CrashSafeStore(path).get("k") == 1
-
-
-class TestLegacyMigration:
-    def test_schema1_flat_dict_adopted(self, tmp_path):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps({"old-key": {"misses": 5, "accesses": 10}}))
-        store = CrashSafeStore(path)
-        assert store.get("old-key") == {"misses": 5, "accesses": 10}
-        store.put("new", 1)  # rewrite upgrades the schema
-        assert json.loads(path.read_text())["schema"] == SCHEMA_VERSION
+        assert path.read_bytes() == b"garbage" * 1024  # left in place

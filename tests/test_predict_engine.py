@@ -230,6 +230,25 @@ class TestRunnerTier0:
         assert analytic.run("jacobi", "original", CACHE, size=48) == stats
         assert analytic.last_tier == "analytic"
 
+    def test_analytic_answer_written_through_once(self):
+        class CountingStore:
+            def __init__(self):
+                self.puts = []
+
+            def get(self, key):
+                return None
+
+            def put(self, key, value):
+                self.puts.append((key, value))
+
+        store = CountingStore()
+        runner = Runner(store=store, predict="auto")
+        for _ in range(3):
+            runner.run("jacobi")
+            assert runner.last_tier == "analytic"
+        assert len(store.puts) == 1
+        assert store.puts[0][1]["status"] == "analytic"
+
     def test_sim_mode_never_consults_the_predictor(self):
         runner = Runner()  # predict defaults to "sim"
         runner.run("dot", "original", CACHE, size=64)

@@ -6,37 +6,45 @@ import pytest
 
 from repro.cache.config import direct_mapped, fully_associative
 from repro.cache.fastsim import make_simulator
+from repro.engine.store import CrashSafeStore
 from repro.experiments.runner import Runner
 
 
 class TestDiskCache:
     def test_results_survive_runner_restarts(self, tmp_path):
-        first = Runner(cache_dir=str(tmp_path))
-        stats = first.run("dot", "pad", direct_mapped(2048), size=128)
-        assert (tmp_path / "runner_cache.json").exists()
+        path = tmp_path / "runner_cache.db"
+        with CrashSafeStore(path) as store:
+            first = Runner(store=store)
+            stats = first.run("dot", "pad", direct_mapped(2048), size=128)
+        assert path.exists()
 
-        second = Runner(cache_dir=str(tmp_path))
-        again = second.run("dot", "pad", direct_mapped(2048), size=128)
+        with CrashSafeStore(path) as store:
+            second = Runner(store=store)
+            again = second.run("dot", "pad", direct_mapped(2048), size=128)
+            assert second.last_tier == "sqlite"
         assert again.misses == stats.misses
         assert again.accesses == stats.accesses
         # It really came from disk: no padding was computed.
         assert second._paddings == {}
 
     def test_different_requests_not_conflated(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path))
-        a = runner.run("dot", "original", direct_mapped(2048), size=128)
-        c = runner.run("dot", "original", direct_mapped(4096), size=128)
+        with CrashSafeStore(tmp_path / "runner_cache.db") as store:
+            runner = Runner(store=store)
+            a = runner.run("dot", "original", direct_mapped(2048), size=128)
+            c = runner.run("dot", "original", direct_mapped(4096), size=128)
         assert a.misses != c.misses or a is not c
 
     def test_corrupt_store_tolerated(self, tmp_path):
-        (tmp_path / "runner_cache.json").write_text("{ not json")
-        runner = Runner(cache_dir=str(tmp_path))
-        stats = runner.run("dot", "original", direct_mapped(2048), size=64)
+        path = tmp_path / "runner_cache.db"
+        path.write_text("{ not json")
+        with CrashSafeStore(path) as store:
+            runner = Runner(store=store)
+            stats = runner.run("dot", "original", direct_mapped(2048), size=64)
         assert stats.accesses > 0
 
     def test_no_dir_means_memory_only(self):
         runner = Runner()
-        assert runner._disk is None
+        assert runner._store is None
 
 
 def _stack_distance_misses(line_addrs, capacity_lines):
