@@ -74,10 +74,12 @@ from repro.obs import runtime as obs
 
 #: Why the predictor refused a program (``reason`` label on
 #: ``repro_predict_bailouts_total``): the static
-#: :data:`~repro.ir.nest.NEST_REASONS` plus ``exceeds_budget``, issued at
-#: evaluation time when an unfoldable program would need more than
-#: ``budget`` replayed accesses.
-BAILOUT_REASONS = NEST_REASONS + ("exceeds_budget",)
+#: :data:`~repro.ir.nest.NEST_REASONS`, plus ``indirect`` for a gather
+#: reference (translation folding needs an address stream that shifts with
+#: the loop variables, and gathered values do not), plus ``exceeds_budget``,
+#: issued at evaluation time when an unfoldable program would need more
+#: than ``budget`` replayed accesses.
+BAILOUT_REASONS = NEST_REASONS + ("indirect", "exceeds_budget")
 
 #: Default replay budget (accesses) for :func:`predict_misses`.
 DEFAULT_BUDGET = 1 << 22

@@ -372,6 +372,7 @@ def cmd_simulate(args) -> int:
                 ),
                 baseline_stats=before,
                 dropped=result.guard.dropped if result.guard else (),
+                jit=args.jit,
             )
             after_tier = "sim"
             print(f"guard: {report.describe()}")

@@ -375,6 +375,7 @@ class Runner:
                 run_key=request_key(request),
                 dropped=result.guard.dropped if result.guard else (),
                 reference_layout=reference,
+                jit=self.jit,
             )
             return stats, report
 

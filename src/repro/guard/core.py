@@ -97,6 +97,7 @@ def check_transform(
     run_key: Optional[str] = None,
     dropped: Sequence[DroppedPad] = (),
     reference_layout: Optional[MemoryLayout] = None,
+    jit: str = "auto",
 ) -> Tuple[GuardReport, CacheStats]:
     """Full guard for one run; returns the verdict and the stats to commit.
 
@@ -104,9 +105,10 @@ def check_transform(
     ``baseline_stats`` short-circuits the baseline simulation when the
     caller already has it (the runner memoizes the original-heuristic
     run).  ``reference_layout`` is the layout the transformation
-    committed (see :func:`~repro.guard.sanitizer.sanitize`).  In strict
-    mode invariant/sanitizer violations raise before ``simulate_fn``
-    ever sees the transformed layout.
+    committed (see :func:`~repro.guard.sanitizer.sanitize`), and ``jit``
+    the trace engine the sanitizer runs on.  In strict mode
+    invariant/sanitizer violations raise before ``simulate_fn`` ever sees
+    the transformed layout.
     """
     with obs.span("guard.check", seed=seed):
         rt.emit_check("invariants")
@@ -123,7 +125,7 @@ def check_transform(
                     sanitize(
                         prog, layout, base_layout,
                         seed=seed, limit=config.sanitize_limit,
-                        reference_layout=reference_layout,
+                        reference_layout=reference_layout, jit=jit,
                     )
                 )
             except Exception as exc:

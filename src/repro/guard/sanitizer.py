@@ -39,9 +39,9 @@ import numpy as np
 
 from repro.guard.config import GuardViolation
 from repro.ir.program import Program
+from repro.jit import make_interpreter
 from repro.layout.layout import MemoryLayout
 from repro.trace.env import DataEnv
-from repro.trace.interpreter import TraceInterpreter
 
 
 class _Inverter:
@@ -110,11 +110,13 @@ def cell_stream(
     seed: int,
     limit: int,
     invert_layout: Optional[MemoryLayout] = None,
+    jit: str = "auto",
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int, bool]:
     """Logical-cell view of a program's trace under one layout.
 
-    The trace is generated under ``layout`` and inverted with
-    ``invert_layout`` (default: ``layout`` itself).  Returns ``(ids,
+    The trace is generated under ``layout`` by the engine ``jit`` selects
+    (every mode emits the same stream, see :mod:`repro.jit`) and inverted
+    with ``invert_layout`` (default: ``layout`` itself).  Returns ``(ids,
     cells, writes, out_of_bounds, pad_touched, truncated)`` with at most
     ``limit`` entries.
     """
@@ -125,7 +127,7 @@ def cell_stream(
     oob = touched = 0
     total = 0
     truncated = False
-    interp = TraceInterpreter(prog, layout, DataEnv(seed=seed))
+    interp = make_interpreter(prog, layout, DataEnv(seed=seed), jit=jit)
     for addrs, writes in interp.trace():
         if total + len(addrs) > limit:
             addrs = addrs[: limit - total]
@@ -160,13 +162,15 @@ def sanitize(
     seed: int = 12345,
     limit: int = 1 << 20,
     reference_layout: Optional[MemoryLayout] = None,
+    jit: str = "auto",
 ) -> List[GuardViolation]:
     """Violations between a transformed layout and the baseline (or []).
 
     ``reference_layout`` is the layout the transformation committed
     (where the data actually lives); when given, the transformed trace
     is inverted with it instead of with ``layout``, catching consistent
-    base/stride drift that self-inversion cannot see.
+    base/stride drift that self-inversion cannot see.  ``jit`` selects
+    the trace engine for both traces.
     """
     violations: List[GuardViolation] = []
 
@@ -176,10 +180,10 @@ def sanitize(
         )
 
     base_ids, base_cells, base_writes, base_oob, base_touched, _ = cell_stream(
-        prog, baseline_layout, seed, limit
+        prog, baseline_layout, seed, limit, jit=jit
     )
     ids, cells, writes, oob, touched, truncated = cell_stream(
-        prog, layout, seed, limit, invert_layout=reference_layout
+        prog, layout, seed, limit, invert_layout=reference_layout, jit=jit
     )
 
     if oob:

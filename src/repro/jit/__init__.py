@@ -1,9 +1,10 @@
 """repro.jit — tracing JIT over the trace interpreter.
 
-Hot, purely-affine loop nests have closed-form address streams; this
-package compiles each into the batched block generator of its normal
-form (:mod:`repro.ir.nest`) and runs everything else through the exact
-interpreter (:mod:`repro.jit.interp`).  The emitted stream — addresses,
+Hot perfect loop nests have closed-form address streams (gathers through
+seeded index arrays included); this package compiles each into the
+batched block generator of its normal form (:mod:`repro.ir.nest`) and
+runs everything else through the exact interpreter
+(:mod:`repro.jit.interp`).  The emitted stream — addresses,
 write flags, and order — is byte-identical to interpretation by
 construction, pinned by the differential fuzz battery in
 ``tests/test_jit_differential.py``.

@@ -1,5 +1,5 @@
 """The tracing-JIT interpreter: interpret cold/ineligible code, compile
-hot affine nests.
+hot perfect nests, gathers included.
 
 :class:`JitInterpreter` subclasses the exact trace interpreter and swaps
 its body dispatcher: before interpreting a loop it consults a per-instance
@@ -10,13 +10,17 @@ from :meth:`~repro.ir.nest.BoundNest.blocks` instead of walking it.  A
 nest without a normal form falls back to the superclass machinery
 *mid-trace*: the deopted level is interpreted in Python and each inner
 sub-nest is reconsidered on its own, so the emitted stream is
-byte-identical either way.  A deopted nest head is re-examined whenever
-its level is re-entered — a triangular outer loop over a rectangular
-inner nest still compiles the inner nest once per outer iteration.
+byte-identical either way.  Gathers ``X(IDX(e))`` compile too: the
+index data is seeded before the trace starts, so binding a nest reads it
+and proves every gather in range; a nest it cannot prove deopts with
+``gather_range`` and the interpreter reports the bad index itself.  A
+deopted nest head is re-examined whenever its level is re-entered — a
+triangular outer loop over a rectangular inner nest still compiles the
+inner nest once per outer iteration.
 
 The policy here is the JIT's own: the modes, the hotness threshold, and
-the ``cold`` deopt reason.  The structural preconditions and their
-reasons live in :mod:`repro.ir.nest`.
+the run-time deopt reasons ``gather_range`` and ``cold``.  The structural
+preconditions and their reasons live in :mod:`repro.ir.nest`.
 
 Form caches are keyed by loop-node identity and live exactly as long as
 the interpreter.  That is deliberate: forms bake in one layout's bases and
@@ -32,7 +36,9 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.ir.loops import BodyNode
-from repro.ir.nest import NEST_REASONS, BoundNest, NestForm, normalize_nest
+from repro.ir.nest import (
+    GATHER_RANGE, NEST_REASONS, BoundNest, NestForm, normalize_nest,
+)
 from repro.ir.program import Program
 from repro.ir.stmts import Statement
 from repro.layout.layout import MemoryLayout
@@ -42,8 +48,9 @@ from repro.trace.interpreter import Chunk, TraceInterpreter
 
 #: Why a nest fell back to the interpreter (``reason`` label on
 #: ``repro_jit_deopt_total``): the static :data:`~repro.ir.nest.NEST_REASONS`
-#: plus ``cold``, issued at run time by the auto-mode hotness policy.
-DEOPT_REASONS = NEST_REASONS + ("cold",)
+#: plus two issued at run time: ``gather_range`` when binding cannot prove
+#: a gather in range, ``cold`` from the auto-mode hotness policy.
+DEOPT_REASONS = NEST_REASONS + (GATHER_RANGE, "cold")
 
 #: Accepted values of the ``--jit`` flag and every ``jit=`` parameter.
 JIT_MODES = ("on", "off", "auto")
@@ -83,7 +90,7 @@ class JitConfig:
 
 
 class JitInterpreter(TraceInterpreter):
-    """Trace interpreter with closed-form compilation of hot affine nests."""
+    """Trace interpreter with closed-form compilation of hot nests."""
 
     def __init__(
         self,
@@ -140,7 +147,10 @@ class JitInterpreter(TraceInterpreter):
         if isinstance(entry, str):
             self._count_deopt(entry)
             return None
-        bound = entry.bind(env)
+        bound = entry.bind(env, self.env)
+        if isinstance(bound, str):
+            self._count_deopt(bound)
+            return None
         if (
             self.config.mode == "auto"
             and bound.accesses < self.config.compile_threshold

@@ -56,7 +56,8 @@ class DataEnv:
         is used (the irregular-mesh idiom: every node visited once in
         scattered order); otherwise uniform random values (the histogram
         idiom, e.g. bucket sort keys).  Seeded for reproducibility; each
-        array gets an independent stream.
+        array gets an independent stream.  An index array that subscripts
+        dimensions with no common range raises :class:`SimulationError`.
         """
         ranges = _index_value_ranges(prog)
         for offset, name in enumerate(prog.referenced_index_arrays()):
@@ -64,6 +65,12 @@ class DataEnv:
                 continue
             decl = prog.array(name)
             lower, upper = ranges.get(name, (decl.dims[0].lower, decl.dims[0].upper))
+            if upper < lower:
+                raise SimulationError(
+                    f"index array {name!r} subscripts dimensions whose "
+                    f"ranges do not overlap: their common range "
+                    f"[{lower}, {upper}] is empty"
+                )
             rng = np.random.default_rng(self.seed + offset)
             span = upper - lower + 1
             if span == decl.num_elements:

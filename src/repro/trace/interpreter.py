@@ -14,7 +14,13 @@ expression, and per-iteration interleaving is a reshape.  Chunks are
 yielded once they reach ``chunk_target`` accesses.
 
 Indirect references ``X(IDX(i))`` emit the load of ``IDX(i)`` followed by
-the gathered access to ``X``, matching what the hardware would do.
+the gathered access to ``X``, matching what the hardware would do.  Both
+the vectorized and the scalar path read index data through the one
+:class:`~repro.ir.nest.Gather` helper, so a bad index is reported with one
+text (the offending subscripts and the bounds they left).  The JIT
+(:mod:`repro.jit`) compiles gather nests too, and hands any nest whose
+gathers it cannot prove in range back to this interpreter, so every
+bad-index :class:`SimulationError` is raised here.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.ir.expr import IndirectExpr
+from repro.ir.expr import AffineExpr
 from repro.ir.loops import BodyNode, Loop
 from repro.ir.nest import ref_address, trip
 from repro.ir.program import Program
@@ -45,15 +51,15 @@ class _RefPlan:
     """Precomputed addressing data for one reference under one layout.
 
     ``address`` is the affine part of the linearized address and
-    ``indirect`` its :data:`~repro.ir.nest.IndirectTerm` list, gathered
-    through the data environment at run time.
+    ``gathers`` its :class:`~repro.ir.nest.Gather` list, read through the
+    data environment at run time.
     """
 
-    __slots__ = ("ref", "address", "indirect", "is_write")
+    __slots__ = ("ref", "address", "gathers", "is_write")
 
     def __init__(self, ref: ArrayRef, layout: MemoryLayout):
         self.ref = ref
-        self.address, self.indirect = ref_address(ref, layout.prog, layout)
+        self.address, self.gathers = ref_address(ref, layout.prog, layout)
         self.is_write = ref.is_write
 
 
@@ -167,55 +173,25 @@ class TraceInterpreter:
     ) -> None:
         """Append this ref's address column(s) for a vectorized loop.
 
-        Indirect subscripts contribute an extra column for the index-array
-        load that precedes the main access.
+        Each gather contributes an extra column for the index-array load
+        that precedes the main access.
         """
-        addr = plan.address
-        const = addr.const + sum(
-            c * env[v] for v, c in addr.coeffs.items() if v != var
-        )
-        total = const + addr.coeff(var) * values
-        for sub, stride, lower, upper in plan.indirect:
-            idx_values, idx_addrs = self._indirect_values(sub, var, values, env)
-            if len(idx_values) and (
-                idx_values.min() < lower or idx_values.max() > upper
-            ):
-                raise SimulationError(
-                    f"index array {sub.array!r} yields subscript outside "
-                    f"[{lower}, {upper}] for {plan.ref}"
-                )
-            columns.append(idx_addrs)
+
+        def column(expr: AffineExpr) -> np.ndarray:
+            const = expr.const + sum(
+                c * env[v] for v, c in expr.coeffs.items() if v != var
+            )
+            return const + expr.coeff(var) * values
+
+        total = column(plan.address)
+        for gather in plan.gathers:
+            total = total + gather.gather(
+                column(gather.position), self.env.values(gather.array)
+            )
+            columns.append(column(gather.load))
             write_flags.append(False)
-            total = total + (idx_values - lower) * stride
         columns.append(total)
         write_flags.append(plan.is_write)
-
-    def _indirect_values(
-        self,
-        sub: IndirectExpr,
-        var: str,
-        values: np.ndarray,
-        env: Dict[str, int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(gathered subscript values, addresses of the index-array loads)."""
-        idx_decl = self.prog.array(sub.array)
-        inner = sub.inner
-        coef = inner.coeff(var)
-        const = inner.const + sum(
-            c * env[v] for v, c in inner.coeffs.items() if v != var
-        )
-        positions = const + coef * values - idx_decl.dims[0].lower
-        data = self.env.values(sub.array)
-        if positions.min() < 0 or positions.max() >= len(data):
-            raise SimulationError(
-                f"index array {sub.array!r} subscript out of range "
-                f"[{positions.min()}, {positions.max()}]"
-            )
-        gathered = data[positions]
-        idx_base = self.layout.base(sub.array)
-        idx_stride = self.layout.strides(sub.array)[0]
-        idx_addrs = idx_base + positions * idx_stride
-        return gathered, idx_addrs
 
     # -- scalar (non-vectorized) statement execution -------------------------
 
@@ -225,27 +201,14 @@ class TraceInterpreter:
         for ref in stmt.refs:
             plan = self._plan(ref)
             total = plan.address.evaluate(env)
-            for sub, stride, lower, upper in plan.indirect:
-                inner_val = sub.inner.evaluate(env)
-                idx_decl = self.prog.array(sub.array)
-                position = inner_val - idx_decl.dims[0].lower
-                data = self.env.values(sub.array)
-                if not 0 <= position < len(data):
-                    raise SimulationError(
-                        f"index array {sub.array!r} subscript {inner_val} "
-                        f"out of range"
-                    )
-                value = int(data[position])
-                if not lower <= value <= upper:
-                    raise SimulationError(
-                        f"index array {sub.array!r} yields subscript "
-                        f"{value} outside [{lower}, {upper}] for {plan.ref}"
-                    )
-                idx_base = self.layout.base(sub.array)
-                idx_stride = self.layout.strides(sub.array)[0]
-                addrs.append(idx_base + position * idx_stride)
+            for gather in plan.gathers:
+                position = np.array(
+                    [gather.position.evaluate(env)], dtype=np.int64
+                )
+                offset = gather.gather(position, self.env.values(gather.array))
+                addrs.append(gather.load.evaluate(env))
                 writes.append(False)
-                total += (value - lower) * stride
+                total += int(offset[0])
             addrs.append(total)
             writes.append(plan.is_write)
         self._push(np.asarray(addrs, dtype=np.int64), np.asarray(writes, dtype=bool))

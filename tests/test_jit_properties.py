@@ -21,7 +21,7 @@ from repro.cache.fastsim import FastDirectMapped, make_simulator
 from repro.cache.sim import ReferenceCache
 from repro.errors import ConfigError
 from repro.ir import builder as b
-from repro.ir.nest import normalize_nest
+from repro.ir.nest import NestForm, normalize_nest
 from repro.jit import (
     DEOPT_REASONS,
     JitConfig,
@@ -102,9 +102,29 @@ class TestDeoptNeverReordersTheStream:
             assert np.array_equal(writes_on, writes_off)
 
     def test_indirect_nests_count_a_deopt(self, metrics):
+        # Gathers compile: the perfect gather nest heading this case is
+        # served by a compiled generator, with no deopt of any kind, and
+        # the stream still equals the interpreter's.
         case = self.indirect_cases()[0]
-        list(make_interpreter(case.prog, case.layout, jit="on").trace())
-        assert counter_total("repro_jit_deopt_total", reason="indirect") >= 1
+        head = case.prog.body[0]
+        form = normalize_nest(head, case.prog, case.layout)
+        assert isinstance(form, NestForm) and form.gathers
+        chunks = list(
+            make_interpreter(case.prog, case.layout, jit="on").trace()
+        )
+        assert counter_total("repro_jit_deopt_total", reason="indirect") == 0
+        assert counter_total(
+            "repro_jit_deopt_total", reason="gather_range") == 0
+        assert counter_total("repro_jit_compiled_total") >= 1
+        addrs_off, writes_off = trace_addresses(
+            case.prog, case.layout, jit="off"
+        )
+        assert np.array_equal(
+            np.concatenate([addrs for addrs, _ in chunks]), addrs_off
+        )
+        assert np.array_equal(
+            np.concatenate([writes for _, writes in chunks]), writes_off
+        )
 
 
 class TestChunkBoundaries:
@@ -227,9 +247,20 @@ class TestDeoptReasons:
         imperfect, symbolic, indirect = prog.body
         assert normalize_nest(imperfect, prog, layout) == "imperfect"
         assert normalize_nest(symbolic, prog, layout) == "symbolic_bounds"
-        assert normalize_nest(indirect, prog, layout) == "indirect"
-        for reason in ("imperfect", "symbolic_bounds", "indirect"):
+        form = normalize_nest(indirect, prog, layout)
+        assert isinstance(form, NestForm)
+        # One gather term: the IDX(p) load column, then the written A
+        # column it offsets by (IDX(p) - 1) * 8 bytes.
+        assert form.flags.tolist() == [False, True]
+        (term,) = form.gathers
+        assert term.column == 1
+        assert term.gather.array == "IDX"
+        assert term.coeffs.tolist() == [1]
+        assert (term.gather.stride, term.gather.lower,
+                term.gather.upper) == (8, 1, 16)
+        for reason in ("imperfect", "symbolic_bounds", "gather_range"):
             assert reason in DEOPT_REASONS
+        assert "indirect" not in DEOPT_REASONS
 
     def test_zero_trip_nests_emit_nothing(self):
         prog = b.program(

@@ -4,9 +4,11 @@ Both consume :func:`repro.ir.nest.normalize_nest`; each adds only its own
 policy.  Over every top-level loop of both seeded corpora and the four
 bailout kinds, each wrapped in a program of its own:
 
-1. when all of a loop's bounds are constant, it has a normal form iff
-   the predictor classifies its program as exactly one nest unit with no
-   bailout;
+1. when all of a loop's bounds are constant, it has a normal form
+   without gathers iff the predictor classifies its program as exactly
+   one nest unit with no bailout, and a loop with a normal form has
+   gathers iff the predictor bails out with ``indirect`` (folding needs
+   translation invariance, which gathered addresses lack);
 2. a structural reason other than ``imperfect`` (which the predictor can
    answer as a sequence loop) is among the predictor's bailout reasons.
 
@@ -72,8 +74,12 @@ def test_every_corpus_loop_is_checked():
     assert len(VERDICTS) == 1255
     reasons = {form for _, _, form, _, _ in VERDICTS if isinstance(form, str)}
     assert reasons <= set(NEST_REASONS)
-    assert {"imperfect", "symbolic_bounds", "indirect"} <= reasons
-    assert any(isinstance(form, NestForm) for _, _, form, _, _ in VERDICTS)
+    assert {"imperfect", "symbolic_bounds"} <= reasons
+    assert "indirect" not in reasons
+    forms = [form for _, _, form, _, _ in VERDICTS
+             if isinstance(form, NestForm)]
+    assert any(form.gathers for form in forms)
+    assert any(not form.gathers for form in forms)
 
 
 def test_normal_form_iff_one_nest_unit_under_constant_bounds():
@@ -86,7 +92,11 @@ def test_normal_form_iff_one_nest_unit_under_constant_bounds():
             and len(units) == 1
             and isinstance(units[0], _NestUnit)
         )
-        assert isinstance(form, NestForm) == one_nest, (name, form, bailouts)
+        plain = isinstance(form, NestForm) and not form.gathers
+        assert plain == one_nest, (name, form, bailouts)
+        if isinstance(form, NestForm):
+            indirect = "indirect" in {b.reason for b in bailouts}
+            assert bool(form.gathers) == indirect, (name, bailouts)
 
 
 def test_structural_reasons_reach_the_predictor():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.frontend import parse_program
 from repro.ir import builder as b
 from repro.ir.types import ElementType
 from repro.layout import original_layout
@@ -194,6 +195,24 @@ class TestIndirect:
         env.set_values("IDX", [99, 1, 1, 1])
         with pytest.raises(SimulationError):
             trace_addresses(prog, original_layout(prog), env)
+
+    def test_disjoint_subscripted_ranges_raise_a_simulation_error(self):
+        # IDX subscripts A(1:4) and B(10:20): no value satisfies both, so
+        # the defaults cannot be drawn; the error names IDX and the range.
+        prog = parse_program("""
+program disjoint
+  real*8 A(4), B(10:20)
+  integer*4 IDX(4)
+  do i = 1, 4
+    A(IDX(i)) = B(IDX(i))
+  end do
+end
+""")
+        with pytest.raises(SimulationError, match=r"'IDX'.*\[10, 4\] is empty"):
+            DataEnv().populate_defaults(prog)
+        for jit in ("on", "off"):
+            with pytest.raises(SimulationError, match="'IDX'"):
+                trace_addresses(prog, original_layout(prog), jit=jit)
 
     def test_default_population_is_reproducible(self):
         prog = b.program(
