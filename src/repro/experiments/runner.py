@@ -447,20 +447,24 @@ class Runner:
         self.last_guard = None
         return stats
 
-    def memo_lookup(self, request: RunRequest) -> Optional[CacheStats]:
+    def memo_lookup(
+        self, request: RunRequest, count: bool = True
+    ) -> Optional[CacheStats]:
         """Memoized stats for a resolved request, or ``None`` on a miss.
 
         Counts the memo-tier hit (``repro_runner_memo_hits_total``,
         labelled ``memory`` or ``sqlite``) or the miss, and updates
         :attr:`last_guard`, exactly like the front half of :meth:`run`.
-        The serve micro-batcher peeks here before dispatching a batch to
-        the engine, so repeat requests never re-simulate.
+        The serve tier answers hits here before queueing anything, then
+        re-checks its misses with ``count=False`` so each request is
+        counted once.
         """
         if request in self._stats:
-            obs.counter_add(
-                "repro_runner_memo_hits_total", 1,
-                "simulation results served from memory", tier="memory",
-            )
+            if count:
+                obs.counter_add(
+                    "repro_runner_memo_hits_total", 1,
+                    "simulation results served from memory", tier="memory",
+                )
             self.last_tier = "memory"
             self.last_guard = self._guard_reports.get(request)
             return self._stats[request]
@@ -472,19 +476,21 @@ class Runner:
                 except (TypeError, KeyError):
                     stats = None  # unpackable row: fall through and re-run
                 if stats is not None:
-                    obs.counter_add(
-                        "repro_runner_memo_hits_total", 1,
-                        "simulation results served from memory",
-                        tier="sqlite",
-                    )
+                    if count:
+                        obs.counter_add(
+                            "repro_runner_memo_hits_total", 1,
+                            "simulation results served from memory",
+                            tier="sqlite",
+                        )
                     self.last_tier = "sqlite"
                     self._stats[request] = stats
                     self.last_guard = None
                     return stats
-        obs.counter_add(
-            "repro_runner_memo_misses_total", 1,
-            "simulation requests that had to run",
-        )
+        if count:
+            obs.counter_add(
+                "repro_runner_memo_misses_total", 1,
+                "simulation requests that had to run",
+            )
         return None
 
     def prime(self, request: RunRequest, stats: CacheStats) -> None:

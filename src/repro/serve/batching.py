@@ -8,39 +8,53 @@ and waits.  Inside:
   when it is full, :class:`~repro.errors.QueueFullError` propagates out
   as HTTP 429 — the service sheds load instead of queueing unboundedly
   or crashing;
+* **memo first**: a request that passes admission is looked up in the
+  memo tiers on the submitting thread — the shared
+  :class:`~repro.experiments.runner.Runner` memo for benchmark simulate
+  and ``/v1/run`` (every resolved run must hit), the per-source memo for
+  inline-source simulate.  A hit is answered right there and never
+  enters a queue; only misses wait for a worker or the batch window.
+  The service counts one ``repro_runner_memo_hits_total`` or
+  ``repro_runner_memo_misses_total`` per run it looks up; the queues
+  re-check misses without counting them again (an engine worker that
+  simulates a miss still reports its own private memo's lookup);
 * ``workers`` threads execute the in-process endpoints (pad, lint,
   inline-source simulate) — each job re-checks its deadline before it
   starts, so a request that rotted in the queue fails fast as a timeout
   instead of burning a worker on an answer nobody is waiting for;
-* a single **micro-batcher** thread coalesces engine-bound work
-  (benchmark simulate, ``/v1/run`` sweeps) that arrives within
+* a single **micro-batcher** thread coalesces engine-bound misses
+  (benchmark simulate, ``/v1/run`` sweeps) that arrive within
   ``batch_window_s`` into one dispatch through the shared
   :class:`~repro.engine.pool.WorkerPool` — warm subprocesses, one
-  :meth:`~repro.engine.core.ExperimentEngine.run_many` per batch —
-  after first serving every request it can from the shared
-  :class:`~repro.experiments.runner.Runner` memo tiers
-  (``repro_runner_memo_hits_total`` in the scrape shows repeats never
-  re-simulate).
+  :meth:`~repro.engine.core.ExperimentEngine.run_many` per batch — and
+  primes the runner memo with every result, so the repeat is a hit.
 
 Above the queue sits the **admission ladder** (see
 ``docs/RESILIENCE.md``): endpoints carry priority classes, and as
 occupancy climbs past ``brownout_fraction`` of ``queue_depth``,
-simulate-class requests are answered degraded (memo tier first, then
-the static conflict estimator with ``degraded: true`` and an
-``error_bound_pct``); past ``shed_fraction``, bulk ``/v1/run`` work is
-shed with 429 while interactive pad/lint stays full fidelity.  The
-same degraded path engages under forced ``--brownout``, when the
+simulate-class misses are answered degraded (the analytic tier when
+the predictor can answer exactly, else the static conflict estimator
+with ``degraded: true`` and an ``error_bound_pct``); past
+``shed_fraction``, bulk ``/v1/run`` work is shed with 429 while
+interactive pad/lint stays full fidelity.  The 429 checks run before
+the memo lookup, the degrade decision after it, so an exact answer the
+memo holds always beats an estimate.  The same degraded path engages
+under forced ``--brownout``, when the
 :class:`~repro.resilience.PoolSupervisor` — which wraps the worker
 pool with heartbeat wedge-detection, bounded respawn and per-slot
 circuit breakers — reports unhealthy, or when a fully quarantined pool
-refuses a lease mid-dispatch.  Per-request deadlines propagate into
-each engine dispatch as a tightened engine timeout.
+refuses a lease mid-dispatch.  ``repro_serve_degraded_total`` counts
+only answers that actually carry an estimate.  Per-request deadlines
+propagate into each engine dispatch as a tightened engine timeout.
 
-The runner and the engine pool are touched only by the batcher thread;
-the per-source simulate memo has its own lock.  Client timeouts abandon
-the job (the waiter gets :class:`~repro.errors.RunTimeout` → HTTP 504);
-an abandoned job still in the queue is skipped, one already dispatched
-to the engine finishes and warms the memo for the retry.
+Threads: the runner's memo is read on the HTTP handler threads and
+written by the batcher, so one lock guards every runner memo lookup and
+prime (the batcher does not hold it during ``run_many``); the engine
+pool is touched only by the batcher thread; the per-source simulate
+memo has its own lock.  Client timeouts abandon the job (the waiter
+gets :class:`~repro.errors.RunTimeout` → HTTP 504); an abandoned job
+still in the queue is skipped, one already dispatched to the engine
+finishes and warms the memo for the retry.
 """
 
 from __future__ import annotations
@@ -89,7 +103,7 @@ class _Job:
 
     __slots__ = (
         "endpoint", "request", "deadline", "enqueued_at",
-        "done", "result", "error", "abandoned", "degrade",
+        "done", "result", "error", "abandoned", "degrade", "runs",
     )
 
     def __init__(self, endpoint: str, request, deadline: float):
@@ -102,6 +116,7 @@ class _Job:
         self.error: Optional[BaseException] = None
         self.abandoned = False
         self.degrade = False  # admission ladder: answer without the engine
+        self.runs: list = []  # resolved RunRequests of an engine-bound job
 
     def finish(self, result: Optional[dict] = None,
                error: Optional[BaseException] = None) -> None:
@@ -146,6 +161,9 @@ class AnalysisService:
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
         self._started = False
+        # guards every runner memo lookup and prime: handler threads
+        # read the memo in submit, the batcher reads and primes it
+        self._runner_lock = threading.Lock()
         self._source_memo: Dict[Tuple, dict] = {}
         self._source_lock = threading.Lock()
         self.started_at = time.time()
@@ -241,50 +259,29 @@ class AnalysisService:
     # -- submission (HTTP handler threads) ----------------------------------
 
     def submit(self, endpoint: str, request) -> dict:
-        """Admit one validated request and wait for its result.
+        """Admit one validated request and answer it.
 
-        Raises :class:`QueueFullError` when the admission queue is at
-        ``queue_depth`` (429), :class:`RunTimeout` when the deadline
-        passes first (504), or whatever library error the handler hit.
+        Memo hits are answered on the calling thread; misses are queued
+        and waited for.  Raises :class:`QueueFullError` when the
+        admission queue is at ``queue_depth`` or bulk work is shed
+        (429), :class:`RunTimeout` when the deadline passes first (504),
+        or whatever library error the handler hit.
         """
         if not self._started:
             raise ReproError("analysis service is not running")
         timeout = getattr(request, "timeout_s", None) or self.config.timeout_s
         job = _Job(endpoint, request, time.monotonic() + timeout)
-        priority = _PRIORITY.get(endpoint, 2)
         with self._work:
-            depth = len(self._exec_queue) + len(self._batch_queue)
-            depth += self._phantom_depth()
-            if depth >= self.config.queue_depth:
-                obs.counter_add(
-                    "repro_serve_rejections_total", 1,
-                    "requests shed by the service, by reason",
-                    reason="queue_full",
-                )
-                raise QueueFullError(
-                    f"admission queue full ({self.config.queue_depth} "
-                    "waiting); retry with backoff"
-                )
-            rung = self._ladder_rung(depth)
-            if rung >= 2 and priority >= 3:
-                # saturation: shed bulk work first so interactive
-                # requests keep their latency
-                obs.counter_add(
-                    "repro_serve_rejections_total", 1,
-                    "requests shed by the service, by reason",
-                    reason="shed_bulk",
-                )
-                raise QueueFullError(
-                    f"shedding {endpoint!r} (priority {priority}) under "
-                    "saturation; retry with backoff"
-                )
-            if endpoint in _DEGRADABLE and (rung >= 1 or self._brownout()):
-                job.degrade = True
-                obs.counter_add(
-                    "repro_serve_degraded_total", 1,
-                    "requests answered degraded, by endpoint",
-                    endpoint=endpoint,
-                )
+            self._admit(endpoint)
+        hit = self._memo_answer(job)
+        if hit is not None:
+            return hit
+        with self._work:
+            # the queue may have filled while the memo was consulted
+            rung = self._admit(endpoint)
+            job.degrade = endpoint in _DEGRADABLE and (
+                rung >= 1 or self._brownout()
+            )
             if endpoint in _IN_PROCESS:
                 self._exec_queue.append(job)
             else:
@@ -402,6 +399,36 @@ class AnalysisService:
 
     # -- admission ladder ----------------------------------------------------
 
+    def _admit(self, endpoint: str) -> int:
+        """The ladder rung for one request, or 429 (``_work`` held)."""
+        depth = len(self._exec_queue) + len(self._batch_queue)
+        depth += self._phantom_depth()
+        if depth >= self.config.queue_depth:
+            obs.counter_add(
+                "repro_serve_rejections_total", 1,
+                "requests shed by the service, by reason",
+                reason="queue_full",
+            )
+            raise QueueFullError(
+                f"admission queue full ({self.config.queue_depth} "
+                "waiting); retry with backoff"
+            )
+        rung = self._ladder_rung(depth)
+        priority = _PRIORITY.get(endpoint, 2)
+        if rung >= 2 and priority >= 3:
+            # saturation: shed bulk work first so interactive
+            # requests keep their latency
+            obs.counter_add(
+                "repro_serve_rejections_total", 1,
+                "requests shed by the service, by reason",
+                reason="shed_bulk",
+            )
+            raise QueueFullError(
+                f"shedding {endpoint!r} (priority {priority}) under "
+                "saturation; retry with backoff"
+            )
+        return rung
+
     def _phantom_depth(self) -> int:
         """Extra queue depth injected by a chaos ``queue_flood`` fault."""
         chaos = self.config.chaos
@@ -465,9 +492,12 @@ class AnalysisService:
                 "time requests sat in the admission queue",
             )
             try:
-                job.finish(result=self._execute(job))
+                result = self._execute(job)
             except BaseException as exc:  # structured error at the boundary
                 job.finish(error=exc)
+                continue
+            _count_if_degraded(job.endpoint, result)
+            job.finish(result=result)
 
     def _execute(self, job: _Job) -> dict:
         if job.endpoint == "pad":
@@ -479,30 +509,65 @@ class AnalysisService:
             return handlers.handle_optimize(job.request,
                                             degrade=job.degrade)
         if job.endpoint == "simulate-source":
-            if job.degrade:
-                from repro.resilience.degrade import degraded_simulate_source
-
-                return degraded_simulate_source(job.request)
-            return self._simulate_source(job.request)
+            return self._simulate_source(job.request, degrade=job.degrade)
         raise ReproError(f"unroutable endpoint {job.endpoint!r}")
 
-    def _simulate_source(self, request: SimulateRequest) -> dict:
-        key = (
-            request.source, tuple(sorted(request.params.items())),
-            request.heuristic, request.m_lines, request.cache,
-        )
+    def _simulate_source(self, request: SimulateRequest,
+                         degrade: bool = False) -> dict:
+        """Exact (or, under brownout, estimated) inline-source answer.
+
+        ``submit`` already counted this request's memo miss; a twin
+        request may have filled the memo since, so look again uncounted.
+        """
+        key = _source_key(request)
         with self._source_lock:
             hit = self._source_memo.get(key)
         if hit is not None:
-            obs.counter_add(
-                "repro_runner_memo_hits_total", 1,
-                "simulation results served from memory", tier="serve",
-            )
             return hit
+        if degrade:
+            from repro.resilience.degrade import degraded_simulate_source
+
+            return degraded_simulate_source(request)
         result = handlers.handle_simulate_source(request)
         with self._source_lock:
             self._source_memo[key] = result
         return result
+
+    def _memo_answer(self, job: _Job) -> Optional[dict]:
+        """The answer the memo tiers already hold for ``job``, else None.
+
+        Runs on the submitting thread and counts one memo hit or miss
+        per distinct lookup.  Engine-bound jobs keep their resolved runs
+        for the batcher; they are answered only when every run hits.
+        """
+        from repro.experiments.runner import request_key
+
+        if job.endpoint == "simulate-source":
+            with self._source_lock:
+                hit = self._source_memo.get(_source_key(job.request))
+            if hit is not None:
+                obs.counter_add(
+                    "repro_runner_memo_hits_total", 1,
+                    "simulation results served from memory", tier="serve",
+                )
+            else:
+                obs.counter_add(
+                    "repro_runner_memo_misses_total", 1,
+                    "simulation requests that had to run",
+                )
+            return hit
+        if job.endpoint in _IN_PROCESS:
+            return None
+        job.runs = self._requests_for(job)
+        memo: Dict[str, object] = {}
+        with self._runner_lock:
+            for run in job.runs:
+                key = request_key(run)
+                if key not in memo:
+                    memo[key] = self.runner.memo_lookup(run)
+        if any(stats is None for stats in memo.values()):
+            return None
+        return self._assemble(job, job.runs, memo, {})
 
     # -- micro-batching -----------------------------------------------------
 
@@ -530,7 +595,7 @@ class AnalysisService:
             self._dispatch_batch(jobs)
 
     def _dispatch_batch(self, jobs: List[_Job]) -> None:
-        """Serve one coalesced batch: memo tiers first, engine for the rest."""
+        """Serve one coalesced batch of memo misses through the engine."""
         from repro.experiments.runner import request_key
 
         obs.counter_add(
@@ -541,31 +606,26 @@ class AnalysisService:
             "requests coalesced per micro-batch",
             buckets=(1, 2, 4, 8, 16, 32, 64),
         )
-        plans = []  # (job, [RunRequest]) in arrival order
-        for job in jobs:
-            try:
-                plans.append((job, self._requests_for(job)))
-            except BaseException as exc:
-                job.finish(error=exc)
-        degraded = [plan for plan in plans if plan[0].degrade]
+        plans = [(job, job.runs) for job in jobs]  # in arrival order
+        for job, runs in plans:
+            if job.degrade:
+                self._finish_degraded(job, runs)
         plans = [plan for plan in plans if not plan[0].degrade]
-        for job, requests in degraded:
-            try:
-                job.finish(result=self._assemble_degraded(job, requests))
-            except BaseException as exc:
-                job.finish(error=exc)
         memo: Dict[str, object] = {}
         missing: Dict[str, object] = {}
-        for _job, requests in plans:
-            for request in requests:
-                key = request_key(request)
-                if key in memo or key in missing:
-                    continue
-                stats = self.runner.memo_lookup(request)
-                if stats is not None:
-                    memo[key] = stats
-                else:
-                    missing[key] = request
+        with self._runner_lock:
+            for _job, runs in plans:
+                for run in runs:
+                    key = request_key(run)
+                    if key in memo or key in missing:
+                        continue
+                    # submit counted this lookup; a batch that finished
+                    # since may have primed the answer
+                    stats = self.runner.memo_lookup(run, count=False)
+                    if stats is not None:
+                        memo[key] = stats
+                    else:
+                        missing[key] = run
         outcomes: Dict[str, object] = {}
         if missing:
             try:
@@ -577,35 +637,24 @@ class AnalysisService:
                 # degraded answer; anything else fails the batch.
                 from repro.errors import EngineError
 
-                if not isinstance(exc, EngineError):
-                    for job, _requests in plans:
-                        if not job.done.is_set():
-                            job.finish(error=exc)
-                    return
-                for job, requests in plans:
+                for job, runs in plans:
                     if job.done.is_set() or job.abandoned:
                         continue
-                    obs.counter_add(
-                        "repro_serve_degraded_total", 1,
-                        "requests answered degraded, by endpoint",
-                        endpoint=job.endpoint,
-                    )
-                    try:
-                        job.finish(
-                            result=self._assemble_degraded(job, requests)
-                        )
-                    except BaseException as inner:
-                        job.finish(error=inner)
+                    if isinstance(exc, EngineError):
+                        self._finish_degraded(job, runs)
+                    else:
+                        job.finish(error=exc)
                 return
-            for outcome in results:
-                outcomes[outcome.key] = outcome
-                if outcome.stats is not None:
-                    self.runner.prime(outcome.request, outcome.stats)
-        for job, requests in plans:
+            with self._runner_lock:
+                for outcome in results:
+                    outcomes[outcome.key] = outcome
+                    if outcome.stats is not None:
+                        self.runner.prime(outcome.request, outcome.stats)
+        for job, runs in plans:
             if job.done.is_set() or job.abandoned:
                 continue
             try:
-                job.finish(result=self._assemble(job, requests, memo, outcomes))
+                job.finish(result=self._assemble(job, runs, memo, outcomes))
             except BaseException as exc:
                 job.finish(error=exc)
 
@@ -635,26 +684,31 @@ class AnalysisService:
             _dc.replace(base, timeout=max(0.1, remaining)), pool=self._pool
         )
 
-    def _assemble_degraded(self, job: _Job, requests) -> dict:
-        """Estimator-backed records for one browned-out engine job."""
+    def _finish_degraded(self, job: _Job, runs) -> None:
+        """Answer one browned-out engine job without the engine.
+
+        Each run is answered by the memo (a run primed since submit), the
+        analytic tier, or the estimator, in that order.  The lock is held
+        throughout because the analytic tier primes the memo.
+        """
         from repro.resilience.degrade import degraded_run_record
 
-        records = [
-            degraded_run_record(
-                request,
-                cached_stats=self.runner.memo_lookup(request),
-                runner=self.runner,
-            )
-            for request in requests
-        ]
-        if job.endpoint == "simulate-program":
-            record = dict(records[0])
-            record["cache"] = job.request.cache.describe()
-            return record
-        counts: Dict[str, int] = {}
-        for record in records:
-            counts[record["status"]] = counts.get(record["status"], 0) + 1
-        return {"outcomes": records, "counts": counts, "degraded": True}
+        try:
+            with self._runner_lock:
+                records = [
+                    degraded_run_record(
+                        run,
+                        cached_stats=self.runner.memo_lookup(run, count=False),
+                        runner=self.runner,
+                    )
+                    for run in runs
+                ]
+            body = self._shape(job, records, degraded=True)
+        except BaseException as exc:
+            job.finish(error=exc)
+            return
+        _count_if_degraded(job.endpoint, body)
+        job.finish(result=body)
 
     def _requests_for(self, job: _Job) -> list:
         """Resolve one engine-bound job to its RunRequests."""
@@ -708,6 +762,11 @@ class AnalysisService:
                         "error": "no outcome produced",
                     }
                 )
+        return self._shape(job, records)
+
+    @staticmethod
+    def _shape(job: _Job, records, **extra) -> dict:
+        """One simulate record (with its cache), or a ``/v1/run`` body."""
         if job.endpoint == "simulate-program":
             record = dict(records[0])
             record["cache"] = job.request.cache.describe()
@@ -715,4 +774,27 @@ class AnalysisService:
         counts: Dict[str, int] = {}
         for record in records:
             counts[record["status"]] = counts.get(record["status"], 0) + 1
-        return {"outcomes": records, "counts": counts}
+        return {"outcomes": records, "counts": counts, **extra}
+
+
+def _source_key(request: SimulateRequest) -> Tuple:
+    """Everything that determines an inline-source simulate answer."""
+    return (
+        request.source, tuple(sorted(request.params.items())),
+        request.heuristic, request.m_lines, request.cache,
+    )
+
+
+def _count_if_degraded(endpoint: str, body: dict) -> None:
+    """Count one degraded answer when ``body`` carries an estimate.
+
+    Brownout answers the memo or the analytic tier could make exact are
+    not degraded, so they are not counted; a ``/v1/run`` body counts
+    once when any of its outcomes is an estimate.
+    """
+    records = body.get("outcomes", [body])
+    if any(record.get("degraded") is True for record in records):
+        obs.counter_add(
+            "repro_serve_degraded_total", 1,
+            "requests answered degraded, by endpoint", endpoint=endpoint,
+        )

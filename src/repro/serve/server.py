@@ -307,14 +307,25 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _send_bytes(self, code: int, body: bytes, content_type: str) -> None:
+        """Status line, headers and body in one write.
+
+        Two sends (headers, then body) let Nagle's algorithm hold the
+        body back until the client's delayed ACK of the headers, which
+        stalls every answer on a keep-alive connection.
+        """
         try:
             self.send_response(code)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             if self.request_id != "-":
                 self.send_header("X-Request-Id", self.request_id)
-            self.end_headers()
-            self.wfile.write(body)
+            # end_headers() by hand, so its flush carries the body too;
+            # an HTTP/0.9 request buffers no headers and gets the body
+            head = getattr(self, "_headers_buffer", [])
+            if head:
+                head.append(b"\r\n")
+            self._headers_buffer = []
+            self.wfile.write(b"".join(head) + body)
         except (BrokenPipeError, ConnectionResetError):
             pass  # the client hung up; nothing to salvage
 

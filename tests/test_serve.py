@@ -344,6 +344,104 @@ class TestAnalysisService:
         service.stop()
 
 
+def _memo_counts():
+    counts = {"hits": 0.0, "misses": 0.0}
+    for entry in obs.snapshot()["counters"]:
+        if entry["name"] == "repro_runner_memo_hits_total":
+            counts["hits"] += entry["value"]
+        elif entry["name"] == "repro_runner_memo_misses_total":
+            counts["misses"] += entry["value"]
+    return counts
+
+
+class TestMemoFirst:
+    def test_hits_never_reach_the_batcher(self):
+        service = _service(engine_jobs=2)
+        service.start()
+        try:
+            simulate = validate_simulate(
+                {"program": "mult", "heuristic": "original", "size": 24}
+            )
+            run = validate_run({"items": [
+                {"program": "mult", "heuristic": "original", "size": 24},
+                {"program": "mult", "heuristic": "pad", "size": 24},
+            ]})
+            service.submit("simulate-program", simulate)
+            service.submit("run", run)
+            dispatched = []
+            service._dispatch_batch = dispatched.append
+            body = service.submit("simulate-program", simulate)
+            assert body["status"] == "cached"
+            body = service.submit("run", run)
+            assert [o["status"] for o in body["outcomes"]] == ["cached"] * 2
+            assert body["counts"] == {"cached": 2}
+            assert dispatched == []
+        finally:
+            service.stop()
+
+    def test_hit_body_matches_the_batched_answer(self):
+        # the batcher re-checks the memo: a job queued as a miss whose
+        # twin was primed meanwhile gets the same body a hit would
+        service = _service(engine_jobs=2)
+        service.start()
+        try:
+            request = validate_simulate({"program": "dot", "size": 64})
+            service.submit("simulate-program", request)
+            memo_answer = service._memo_answer
+
+            def queue_anyway(job):
+                memo_answer(job)  # resolves job.runs; drops the answer
+                return None
+
+            service._memo_answer = queue_anyway
+            from_batcher = service.submit("simulate-program", request)
+            service._memo_answer = memo_answer
+            assert service.submit("simulate-program", request) == from_batcher
+            assert from_batcher["status"] == "cached"
+        finally:
+            service.stop()
+
+    def test_source_miss_then_hit_counts_once_each(self):
+        obs.enable()
+        obs.reset()
+        service = _service()
+        service.start()
+        try:
+            request = validate_simulate({"source": DOT})
+            service.submit("simulate-source", request)
+            assert _memo_counts() == {"hits": 0.0, "misses": 1.0}
+            service.submit("simulate-source", request)
+            assert _memo_counts() == {"hits": 1.0, "misses": 1.0}
+        finally:
+            service.stop()
+
+    def test_program_miss_then_hit_counts_once_each(self):
+        # the engine worker that simulates the miss reports its own
+        # private memo's lookup too, so watch the service's lookups
+        service = _service(engine_jobs=2)
+        service.start()
+        counted = []
+        lookup = service.runner.memo_lookup
+
+        def recording(run, count=True):
+            stats = lookup(run, count=count)
+            if count:
+                counted.append(stats is not None)
+            return stats
+
+        service.runner.memo_lookup = recording
+        try:
+            request = validate_simulate({"program": "dot", "size": 48})
+            first = service.submit("simulate-program", request)
+            assert first["status"] == "ok"
+            assert counted == [False]
+            second = service.submit("simulate-program", request)
+            assert second["status"] == "cached"
+            assert counted == [False, True]
+        finally:
+            service.stop()
+
+
 OPTIMIZE_KERNEL = """
 program stencil5
   param N = 64

@@ -8,6 +8,7 @@ deliberately small admission queue (requests either succeed or get a
 clean 429; the server never wedges).
 """
 
+import http.client
 import json
 import pathlib
 import threading
@@ -16,6 +17,7 @@ import urllib.request
 
 import pytest
 
+from repro.serve import server as server_mod
 from repro.serve.batching import ServeConfig
 from repro.serve.server import create_server
 
@@ -102,6 +104,51 @@ def test_benchmark_simulate_hits_memo_on_repeat(server):
     assert second["status"] == "cached"
     status, text = _get(server, "/metrics")
     assert "repro_runner_memo_hits_total" in text
+
+
+class _RecordingWriter:
+    """A handler's ``wfile`` that remembers every write."""
+
+    def __init__(self, raw, writes):
+        self._raw = raw
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+def test_each_response_is_one_write(server, monkeypatch):
+    writes = []
+    setup = server_mod._Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        handler.wfile = _RecordingWriter(handler.wfile, writes)
+
+    monkeypatch.setattr(server_mod._Handler, "setup", recording_setup)
+    host, port = server.address
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        bodies = []
+        for _ in range(2):  # both over the one keep-alive connection
+            conn.request(
+                "POST", "/v1/simulate",
+                body=json.dumps({"program": "dot", "size": 32}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == 200
+            bodies.append(response.read())
+    finally:
+        conn.close()
+    assert len(writes) == 2
+    for write, body in zip(writes, bodies):
+        assert write.startswith(b"HTTP/1.1 200 ")
+        assert write.endswith(b"\r\n\r\n" + body)
 
 
 def test_malformed_json_is_400(server):

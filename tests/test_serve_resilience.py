@@ -163,6 +163,46 @@ class TestBrownout:
             assert browned["status"] == "cached"
             assert browned["stats"] == exact["stats"]
 
+    def test_source_memo_beats_the_estimator_in_brownout(self):
+        # the triangular kernel has no analytic answer, so without the
+        # memo brownout would answer it with the estimator
+        config = ServeConfig(port=0, workers=2, engine_jobs=1)
+        request = {"source": TRIANGULAR_SOURCE, "heuristic": "pad"}
+        with serving(config) as server:
+            code, exact, _ = _post(server, "/v1/simulate", request)
+            assert code == 200 and "degraded" not in exact
+            server.service.config.brownout = True
+            code, browned, _ = _post(server, "/v1/simulate", request)
+            assert code == 200
+            assert browned == exact
+
+    def test_degraded_counter_counts_only_estimates(self):
+        from repro.obs import runtime as obs
+
+        def degraded_total():
+            return sum(
+                entry["value"] for entry in obs.snapshot()["counters"]
+                if entry["name"] == "repro_serve_degraded_total"
+            )
+
+        config = ServeConfig(port=0, workers=2, engine_jobs=1)
+        with serving(config) as server:
+            code, _, _ = _post(server, "/v1/simulate", {"program": "dot"})
+            assert code == 200
+            server.service.config.brownout = True
+            before = degraded_total()
+            code, body, _ = _post(server, "/v1/simulate", {"program": "dot"})
+            assert code == 200 and body["status"] == "cached"
+            assert degraded_total() == before
+            code, body, _ = _post(
+                server, "/v1/simulate", {"program": "jacobi", "size": 40}
+            )
+            assert code == 200 and body["status"] == "analytic"
+            assert degraded_total() == before
+            code, body, _ = _post(server, "/v1/simulate", {"program": "cgm"})
+            assert code == 200 and body["status"] == "degraded"
+            assert degraded_total() == before + 1
+
     def test_readyz_reports_degraded_but_ready(self):
         config = ServeConfig(port=0, workers=2, engine_jobs=1, brownout=True)
         with serving(config) as server:
