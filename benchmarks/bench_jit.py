@@ -13,7 +13,7 @@ import pytest
 from repro.cache.config import base_cache
 from repro.cache.fastsim import make_simulator
 from repro.jit import make_interpreter
-from repro.jit.corpus import perf_corpus
+from repro.bench.corpus import perf_corpus
 
 CASES = {prog.name: (prog, layout) for prog, layout in perf_corpus()}
 

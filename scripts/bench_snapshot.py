@@ -24,7 +24,7 @@ Usage::
         [--out DIR] [--benchmarks dot,jacobi,mult] [--jobs 2] [--label msg]
 
 ``--compare`` switches to the trace-JIT before/after mode: each program
-in :func:`repro.jit.corpus.perf_corpus` is simulated end to end with
+in :func:`repro.bench.corpus.perf_corpus` is simulated end to end with
 ``jit="off"`` and ``jit="on"``, the two cache-stat results are required
 to be identical, and the snapshot records per-case and aggregate
 speedups.  ``--min-speedup X`` turns the aggregate into a CI gate
@@ -35,7 +35,7 @@ instead of auto-numbering::
         --compare --number 7 --min-speedup 5 [--repeats 3] [--out DIR]
 
 ``--compare --predict`` instead gates the analytic miss-prediction tier:
-every case in :func:`repro.analysis.predict_corpus.eligible_corpus` is
+every case in :func:`repro.bench.corpus.eligible_corpus` is
 simulated end to end (trace JIT + fast cache engine) and predicted in
 closed form, the two results are required to be byte-identical, and the
 aggregate simulate/predict throughput ratio must clear ``--min-speedup``::
@@ -108,7 +108,7 @@ def compare_main(args, out_dir: pathlib.Path) -> int:
     from repro.cache.config import base_cache
     from repro.cache.fastsim import make_simulator
     from repro.jit import make_interpreter
-    from repro.jit.corpus import perf_corpus
+    from repro.bench.corpus import perf_corpus
 
     obs.reset()
     obs.enable()
@@ -185,7 +185,7 @@ def predict_compare_main(args, out_dir: pathlib.Path) -> int:
     """Analytic tier before/after: simulate and predict the eligible
     corpus, require byte-identical counts, gate on throughput ratio."""
     from repro.analysis.predict import predict_misses
-    from repro.analysis.predict_corpus import eligible_corpus
+    from repro.bench.corpus import eligible_corpus
     from repro.cache.fastsim import make_simulator
     from repro.jit import make_interpreter
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UsageError
 
 
 def _is_pow2(n: int) -> bool:
@@ -102,6 +102,33 @@ class CacheConfig:
         if self.is_fully_associative:
             assoc = "FA"
         return f"{size} {assoc} {self.line_bytes}B"
+
+
+def parse_byte_size(value, field_name: str) -> int:
+    """Parse 16384, "16K" or "1M" into bytes; UsageError otherwise.
+
+    The one byte-size parser behind CLI flags (``field_name`` is the
+    flag), HTTP request fields and campaign specs.
+    """
+    if isinstance(value, bool):
+        raise UsageError(f"{field_name}: expected a byte size, got a boolean")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        text = value.strip().upper()
+        factor = 1
+        if text.endswith("K"):
+            factor, text = 1024, text[:-1]
+        elif text.endswith("M"):
+            factor, text = 1024 * 1024, text[:-1]
+        try:
+            return int(text) * factor
+        except ValueError:
+            pass
+    raise UsageError(
+        f"{field_name}: expected a byte size like 16384, '16K' or '1M', "
+        f"got {value!r}"
+    )
 
 
 def base_cache() -> CacheConfig:

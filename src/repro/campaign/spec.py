@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, parse_byte_size
 from repro.errors import UsageError
 
 #: hard ceiling on the expanded cross-product, whatever the spec asks for
@@ -180,28 +180,6 @@ def _number(body: dict, name: str, default, minimum=None, integer=False):
     return value
 
 
-def _byte_size(value, what: str) -> int:
-    if isinstance(value, bool):
-        raise UsageError(f"{what}: expected a byte size, got a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        text = value.strip().upper()
-        factor = 1
-        if text.endswith("K"):
-            factor, text = 1024, text[:-1]
-        elif text.endswith("M"):
-            factor, text = 1024 * 1024, text[:-1]
-        try:
-            return int(text) * factor
-        except ValueError:
-            pass
-    raise UsageError(
-        f"{what}: expected a byte size like 16384, '16K' or '1M', "
-        f"got {value!r}"
-    )
-
-
 # -- selector expansion ------------------------------------------------------
 
 
@@ -273,8 +251,12 @@ def _parse_caches(body: dict) -> Tuple[CacheConfig, ...]:
             raise UsageError(f"{what}.assoc: expected an integer")
         caches.append(
             CacheConfig(
-                size_bytes=_byte_size(item.get("size", "16K"), f"{what}.size"),
-                line_bytes=_byte_size(item.get("line", 32), f"{what}.line"),
+                size_bytes=parse_byte_size(
+                    item.get("size", "16K"), f"{what}.size"
+                ),
+                line_bytes=parse_byte_size(
+                    item.get("line", 32), f"{what}.line"
+                ),
                 associativity=assoc,
             )
         )
@@ -329,7 +311,7 @@ def _parse_guard(body: dict) -> Optional[Dict[str, object]]:
     epsilon = _number(raw, "epsilon_pct", 0.5, minimum=0.0)
     budget = raw.get("budget")
     if budget is not None:
-        budget = _byte_size(budget, "guard.budget")
+        budget = parse_byte_size(budget, "guard.budget")
     from repro.guard.config import GuardConfig
 
     return GuardConfig(

@@ -51,7 +51,7 @@ import pathlib
 import sys
 from typing import Dict, List, Optional
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, parse_byte_size
 from repro.errors import (
     CampaignError,
     ConfigError,
@@ -90,31 +90,37 @@ def exit_code_for(exc: BaseException) -> int:
     return 2
 
 
-def _parse_size(text: str) -> int:
-    """Parse '16K', '2048', '1M' into bytes."""
-    text = text.strip().upper()
-    factor = 1
-    if text.endswith("K"):
-        factor, text = 1024, text[:-1]
-    elif text.endswith("M"):
-        factor, text = 1024 * 1024, text[:-1]
-    return int(text) * factor
+def _parse_size(text: str, flag: str = "size") -> int:
+    """Parse '16K', '2048', '1M' into bytes; UsageError naming ``flag``."""
+    return parse_byte_size(text, flag)
 
 
 def _parse_params(items: Optional[List[str]]) -> Dict[str, int]:
     params: Dict[str, int] = {}
     for item in items or []:
-        if "=" not in item:
-            raise SystemExit(f"--param expects NAME=VALUE, got {item!r}")
-        name, value = item.split("=", 1)
-        params[name.strip()] = int(value)
+        name, _, value = item.partition("=")  # no "=": int("") fails
+        try:
+            params[name.strip()] = int(value)
+        except ValueError:
+            raise UsageError(
+                f"--param {item!r}: expected NAME=VALUE with an integer VALUE"
+            ) from None
     return params
+
+
+def _check_heuristic(args) -> None:
+    """Reject an unknown --heuristic before a command prints anything."""
+    name = getattr(args, "heuristic", None)
+    if name is not None and name not in HEURISTICS:
+        raise UsageError(
+            f"--heuristic {name!r}: unknown; known: {sorted(HEURISTICS)}"
+        )
 
 
 def _cache_from_args(args) -> CacheConfig:
     return CacheConfig(
-        size_bytes=_parse_size(args.cache),
-        line_bytes=_parse_size(args.line),
+        size_bytes=_parse_size(args.cache, "--cache"),
+        line_bytes=_parse_size(args.line, "--line"),
         associativity=args.assoc,
     )
 
@@ -191,13 +197,7 @@ def _guard_config_from_args(args):
 
     budget = None
     if getattr(args, "guard_budget", None):
-        try:
-            budget = _parse_size(args.guard_budget)
-        except ValueError:
-            raise UsageError(
-                f"--guard-budget {args.guard_budget!r}: expected a byte "
-                "size like 4096, 64K or 1M"
-            ) from None
+        budget = _parse_size(args.guard_budget, "--guard-budget")
     return GuardConfig(
         mode=mode,
         epsilon_pct=args.guard_epsilon,
@@ -223,8 +223,6 @@ def _load_program(args):
 def _run_heuristic(prog, name: str, cache: CacheConfig, m_lines: int):
     from repro.padding.common import PadParams
 
-    if name not in HEURISTICS:
-        raise SystemExit(f"unknown heuristic {name!r}; known: {sorted(HEURISTICS)}")
     params = PadParams.for_cache(cache, m_lines=m_lines)
     return HEURISTICS[name](prog, params)
 
@@ -663,6 +661,7 @@ def cmd_serve(args) -> int:
 
     if args.port < 0 or args.port > 65535:
         raise UsageError(f"--port {args.port}: not a TCP port")
+    max_body_bytes = _parse_size(args.max_body, "--max-body")
     chaos = None
     if args.chaos:
         from repro.chaos import load_schedule
@@ -676,7 +675,7 @@ def cmd_serve(args) -> int:
         queue_depth=max(1, args.queue_depth),
         timeout_s=args.timeout,
         max_batch=max(1, args.max_batch),
-        max_body_bytes=_parse_size(args.max_body),
+        max_body_bytes=max_body_bytes,
         engine_jobs=max(1, args.engine_jobs),
         guard=_guard_config_from_args(args),
         jit=args.jit,
@@ -1058,6 +1057,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if metrics_path:
             _require_parent_dir(metrics_path, "--metrics")
+        _check_heuristic(args)
         guard = _guard_config_from_args(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

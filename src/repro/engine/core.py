@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import multiprocessing
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
@@ -43,6 +42,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cache.stats import CacheStats
 from repro.engine.faults import FaultPlan, choose_corruption, unit_interval
 from repro.engine.journal import NullJournal
+from repro.engine.pool import WorkerPool
 from repro.engine.store import checksum
 from repro.engine.worker import worker_main
 from repro.guard.config import GuardConfig
@@ -173,7 +173,7 @@ class ExperimentEngine:
     one, workers are leased warm for each sweep and released back alive
     when it finishes, so a long-lived caller (``repro serve``) pays the
     subprocess spawn cost once, not per micro-batch.  Without one, each
-    :meth:`run_many` spawns and tears down its own workers as before.
+    sweep leases from a private pool that it closes when it ends.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, pool=None):
@@ -246,18 +246,18 @@ class ExperimentEngine:
         """
         cfg = self.config
         guard = cfg.guard.to_record() if cfg.guard else None
-        # Worker life cycle is context-managed either way: the pool's
-        # leased() returns the (in-place mutated) worker list however the
-        # loop ends — so replacements go back warm and an exception can
-        # never leak leases — and owned workers are stopped the same way.
+        # Worker life cycle is context-managed: the pool's leased()
+        # returns the (in-place mutated) worker list however the loop
+        # ends — so replacements go back warm and an exception can never
+        # leak leases — and a private pool is closed after that release,
+        # stopping its idle workers.
         stack = contextlib.ExitStack()
         count = max(1, min(cfg.jobs, len(tasks)))
-        if self.pool is not None:
-            ctx = self.pool.ctx
-            workers = stack.enter_context(self.pool.leased(count))
-        else:
-            ctx = _mp_context()
-            workers = stack.enter_context(_owned_workers(ctx, count))
+        pool = self.pool
+        if pool is None:
+            pool = stack.enter_context(WorkerPool(count))
+        ctx = pool.ctx
+        workers = stack.enter_context(pool.leased(count))
         now = time.monotonic()
         for task in tasks:
             task.enqueued_at = now
@@ -576,25 +576,3 @@ def validate_payload(payload, digest) -> Optional[CacheStats]:
     if stats.accesses < 0 or stats.misses < 0 or stats.misses > stats.accesses:
         return None
     return stats
-
-
-@contextlib.contextmanager
-def _owned_workers(ctx, count: int):
-    """Per-sweep workers: stop idle ones, kill mid-task ones, on exit."""
-    workers = [_Worker(ctx, slot=i) for i in range(count)]
-    try:
-        yield workers
-    finally:
-        for worker in workers:
-            if worker.task is None:
-                worker.stop()
-            else:  # pragma: no cover - aborted sweep
-                worker.kill()
-
-
-def _mp_context():
-    """Fork where available (cheap workers); spawn elsewhere."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return multiprocessing.get_context("spawn")

@@ -22,6 +22,7 @@ the engine itself is driven.  Guard it externally if you must share it.
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 from typing import Iterator, List, Optional
 
 from repro.errors import EngineError
@@ -36,8 +37,6 @@ class WorkerPool:
     """
 
     def __init__(self, jobs: int = 4, ctx=None):
-        from repro.engine.core import _mp_context
-
         if jobs < 1:
             raise EngineError(f"worker pool needs at least 1 job, got {jobs}")
         self.jobs = jobs
@@ -179,3 +178,11 @@ class WorkerPool:
     def _require_open(self) -> None:
         if self._closed:
             raise EngineError("worker pool is closed")
+
+
+def _mp_context():
+    """Fork where available (cheap workers); spawn elsewhere."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX
+        return multiprocessing.get_context("spawn")

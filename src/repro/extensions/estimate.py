@@ -15,20 +15,15 @@ misses on every iteration; otherwise it pays only its streaming rate
 non-affine (gather) references.  Nest weights are static trip-count
 products.  The estimate is deliberately simple — its job, like the
 compiler's, is to *rank* layouts and flag severe trouble, and the tests
-validate exactly that against simulation.
-
-``estimate_conflicts(..., exact=True)`` consults the analytic miss
-predictor (:mod:`repro.analysis.predict`) first: when the program is
-analyzable the returned estimate carries the predictor's *exact* counts
-(``exact=True``, ``error_bound_pct == 0``); otherwise the heuristic
-model answers and ``bailout`` records why exactness was unavailable.
+validate exactly that against simulation.  Exact answers come from the
+analytic miss predictor (:mod:`repro.analysis.predict`), which the
+brownout path (:mod:`repro.resilience.degrade`) consults first.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.analysis.conflict import severe_conflict
 from repro.analysis.linearize import linearized_distance
@@ -50,12 +45,6 @@ class ConflictEstimate:
     #: the same weighted rate with every conflict ignored — the floor the
     #: program would pay from streaming (spatial) misses alone.
     streaming_floor_pct: float = 0.0
-    #: True when the analytic predictor answered: the rate is the exact
-    #: simulated miss rate, not a model output.
-    exact: bool = False
-    #: the predictor's first bailout reason when ``exact`` was requested
-    #: but unavailable (e.g. ``"indirect"``, ``"symbolic_bounds"``).
-    bailout: Optional[str] = None
 
     @property
     def severe(self) -> bool:
@@ -70,10 +59,7 @@ class ConflictEstimate:
         the severe-conflict model, so this band is how far the estimate
         can be off if the model mis-classifies every pair — the honest
         uncertainty attached to a degraded (non-simulated) answer.
-        Exact (analytic) answers have no model uncertainty: 0.
         """
-        if self.exact:
-            return 0.0
         return max(0.0, self.miss_rate_pct - self.streaming_floor_pct)
 
 
@@ -106,67 +92,12 @@ def _nest_weight(loop: Loop, outer_mid: Dict[str, int]) -> int:
     return trips * sum(_nest_weight(n, mid) for n in inner)
 
 
-#: replay budget for the ``exact=True`` path: small enough that a
-#: browned-out service never burns simulation-scale time in the
-#: estimator, large enough to cover the folded replays of real kernels.
-PREDICT_BUDGET = 1 << 20
-
-
-def _exact_estimate(prediction) -> ConflictEstimate:
-    """A :class:`ConflictEstimate` carrying the predictor's exact counts."""
-    per_nest: Dict[int, Dict[str, int]] = {}
-    conflicting = 0
-    for ref in prediction.per_ref:
-        if ref.conflict_misses > 0:
-            conflicting += 1
-        row = per_nest.setdefault(
-            ref.unit_index, {"accesses": 0, "misses": 0}
-        )
-        row["accesses"] += ref.accesses
-        row["misses"] += ref.misses
-    stats = prediction.stats
-    rate = stats.miss_rate_pct
-    return ConflictEstimate(
-        miss_rate_pct=rate,
-        conflicting_refs=conflicting,
-        total_refs=len(prediction.per_ref),
-        per_nest={
-            unit: (100.0 * row["misses"] / row["accesses"]
-                   if row["accesses"] else 0.0)
-            for unit, row in per_nest.items()
-        },
-        streaming_floor_pct=rate,  # exact: no conflict-model band
-        exact=True,
-    )
-
-
 def estimate_conflicts(
     prog: Program,
     layout: MemoryLayout,
     cache: CacheConfig,
-    exact: bool = False,
-    budget: Optional[int] = None,
 ) -> ConflictEstimate:
-    """Predict the severe-conflict miss rate of a program under a layout.
-
-    With ``exact=True`` the analytic miss predictor is consulted first
-    (bounded by ``budget``, default :data:`PREDICT_BUDGET` replayed
-    accesses): analyzable programs get their *exact* miss rate
-    (``exact=True`` on the result, ``error_bound_pct == 0``); on a
-    bailout the heuristic model answers as usual with the first bailout
-    reason recorded on ``bailout``.
-    """
-    if exact:
-        from repro.analysis.predict import predict_misses
-
-        outcome = predict_misses(
-            prog, layout, cache,
-            budget=PREDICT_BUDGET if budget is None else budget,
-        )
-        if outcome.analyzable:
-            return _exact_estimate(outcome.prediction)
-        modeled = estimate_conflicts(prog, layout, cache)
-        return dataclasses.replace(modeled, bailout=outcome.reason)
+    """Predict the severe-conflict miss rate of a program under a layout."""
     total_weight = 0.0
     miss_weight = 0.0
     floor_weight = 0.0

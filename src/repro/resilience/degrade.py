@@ -31,27 +31,23 @@ drive them directly, mirroring :mod:`repro.serve.handlers`.
 
 from __future__ import annotations
 
-from typing import Optional
+from repro.extensions.estimate import ConflictEstimate, estimate_conflicts
 
-from repro.extensions.estimate import (
-    PREDICT_BUDGET,
-    ConflictEstimate,
-    estimate_conflicts,
-)
+#: replay budget for the analytic upgrade: small enough that a
+#: browned-out service never burns simulation-scale time in the
+#: predictor, large enough to cover the folded replays of real kernels.
+PREDICT_BUDGET = 1 << 20
 
 
 def estimate_record(est: ConflictEstimate) -> dict:
     """JSON-safe rendering of one conflict estimate."""
-    record = {
+    return {
         "miss_rate_pct": round(est.miss_rate_pct, 4),
         "streaming_floor_pct": round(est.streaming_floor_pct, 4),
         "conflicting_refs": est.conflicting_refs,
         "total_refs": est.total_refs,
         "severe": est.severe,
     }
-    if est.bailout is not None:
-        record["bailout"] = est.bailout
-    return record
 
 
 def _layout_for(prog, heuristic: str, cache, m_lines: int):

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, parse_byte_size
 from repro.errors import (
     CampaignError,
     ConfigError,
@@ -103,29 +103,6 @@ def error_body(exc: BaseException) -> dict:
             "http_status": http_status_for(exc),
         }
     }
-
-
-def parse_byte_size(value, field_name: str) -> int:
-    """Parse 16384, "16K" or "1M" into bytes; UsageError otherwise."""
-    if isinstance(value, bool):
-        raise UsageError(f"{field_name}: expected a byte size, got a boolean")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        text = value.strip().upper()
-        factor = 1
-        if text.endswith("K"):
-            factor, text = 1024, text[:-1]
-        elif text.endswith("M"):
-            factor, text = 1024 * 1024, text[:-1]
-        try:
-            return int(text) * factor
-        except ValueError:
-            pass
-    raise UsageError(
-        f"{field_name}: expected a byte size like 16384, '16K' or '1M', "
-        f"got {value!r}"
-    )
 
 
 # -- field-level checkers ----------------------------------------------------

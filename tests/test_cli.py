@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import _parse_params, _parse_size, build_parser, main
+from repro.errors import UsageError
 
 JACOBI_SRC = """
 program jacobi
@@ -34,7 +35,7 @@ class TestHelpers:
     def test_parse_params(self):
         assert _parse_params(["N=32", "M=8"]) == {"N": 32, "M": 8}
         assert _parse_params(None) == {}
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             _parse_params(["bogus"])
 
     def test_parser_builds(self):
@@ -153,9 +154,9 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
-    def test_unknown_heuristic(self, kernel_file):
-        with pytest.raises(SystemExit):
-            main(["pad", kernel_file, "--heuristic", "bogus"])
+    def test_unknown_heuristic(self, kernel_file, capsys):
+        assert main(["pad", kernel_file, "--heuristic", "bogus"]) == 3
+        assert "bogus" in capsys.readouterr().err
 
     def test_error_reported_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.dsl"

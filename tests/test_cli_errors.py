@@ -7,6 +7,7 @@ harness.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -22,6 +23,10 @@ from repro.errors import (
     StoreCorruption,
     WorkerCrashed,
 )
+
+
+DOT = str(pathlib.Path(__file__).resolve().parent.parent
+          / "examples" / "kernels" / "dot.dsl")
 
 
 def all_error_classes():
@@ -204,3 +209,26 @@ class TestUsageErrors:
     def test_valid_guard_budget_sizes_parse(self):
         assert cli._parse_size("64k") == 64 * 1024
         assert cli._parse_size("2m") == 2 * 1024 * 1024
+
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        [
+            (["simulate", DOT, "--cache", "16Q"], "--cache", "16Q"),
+            (["simulate", DOT, "--line", "3x"], "--line", "3x"),
+            (["pad", DOT, "--cache", "1G"], "--cache", "1G"),
+            (["serve", "--max-body", "64KB"], "--max-body", "64KB"),
+            (["simulate", DOT, "--param", "N=abc"], "--param", "N=abc"),
+            (["simulate", DOT, "--param", "N"], "--param", "N"),
+            (["simulate", DOT, "--heuristic", "nosuch"],
+             "--heuristic", "nosuch"),
+        ],
+        ids=["cache", "line", "pad-cache", "max-body", "param-value",
+             "param-no-equals", "heuristic"],
+    )
+    def test_bad_flag_value_is_a_usage_error(self, argv, flag, value, capsys):
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == cli.exit_code_for(errors.UsageError("x"))
+        assert out == ""  # rejected before the command prints anything
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert flag in err and repr(value) in err

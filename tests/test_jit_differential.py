@@ -12,7 +12,7 @@ miscompilation.  The bigger ``slow``-profile tail carries
 import numpy as np
 import pytest
 
-from repro.jit.corpus import random_case
+from repro.bench.corpus import random_case
 from repro.trace.interpreter import trace_addresses
 
 pytestmark = pytest.mark.jit

@@ -23,7 +23,7 @@ from repro.guard.sanitizer import sanitize
 from repro.ir import builder as b
 from repro.ir.nest import GATHER_RANGE, NestForm, normalize_nest
 from repro.jit import DEOPT_REASONS, make_interpreter
-from repro.jit.corpus import random_case
+from repro.bench.corpus import random_case
 from repro.layout.layout import original_layout
 from repro.obs import runtime as obs
 from repro.trace.env import DataEnv

@@ -29,7 +29,7 @@ from repro.jit import (
     make_interpreter,
     resolve_mode,
 )
-from repro.jit.corpus import random_case
+from repro.bench.corpus import random_case
 from repro.layout.layout import original_layout
 from repro.obs import runtime as obs
 from repro.trace.interpreter import TraceInterpreter, trace_addresses

@@ -1,8 +1,9 @@
 """The JIT and the analytic predictor agree on the affine-nest normal form.
 
 Both consume :func:`repro.ir.nest.normalize_nest`; each adds only its own
-policy.  Over every top-level loop of both seeded corpora and the four
-bailout kinds, each wrapped in a program of its own:
+policy.  Over every top-level loop of the ``fuzz`` and ``affine``
+profiles of :mod:`repro.bench.corpus` and the four bailout kinds, each
+wrapped in a program of its own:
 
 1. when all of a loop's bounds are constant, it has a normal form
    without gathers iff the predictor classifies its program as exactly
@@ -20,11 +21,10 @@ against a bound ``n``, the predictor refuses it.
 import pytest
 
 from repro.analysis.predict import _NestUnit, classify_program
-from repro.analysis.predict_corpus import bailout_case, random_affine_case
+from repro.bench.corpus import bailout_case, random_case
 from repro.ir.loops import Loop
 from repro.ir.nest import NEST_REASONS, NestForm, normalize_nest
 from repro.ir.program import Program
-from repro.jit.corpus import random_case
 from repro.layout.layout import original_layout
 
 pytestmark = [pytest.mark.jit, pytest.mark.predict]
@@ -37,7 +37,7 @@ def _programs():
     for seed in SEEDS:
         yield random_case(seed, allow_indirect=seed % 2 == 0).prog
     for seed in SEEDS:
-        yield random_affine_case(seed).prog
+        yield random_case(seed, "affine").prog
     for kind in BAILOUT_KINDS:
         yield bailout_case(kind).prog
 
@@ -71,7 +71,7 @@ VERDICTS = _verdicts()
 
 
 def test_every_corpus_loop_is_checked():
-    assert len(VERDICTS) == 1255
+    assert len(VERDICTS) == 1275
     reasons = {form for _, _, form, _, _ in VERDICTS if isinstance(form, str)}
     assert reasons <= set(NEST_REASONS)
     assert {"imperfect", "symbolic_bounds"} <= reasons

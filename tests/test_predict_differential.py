@@ -4,12 +4,13 @@ The predictor's contract is byte-identical statistics on every program it
 accepts, and an explicit bailout (never a silent approximation) on every
 program it does not.  Three populations drive that contract:
 
-* 240 seeded :func:`random_affine_case` programs — exactly the
-  analyzable class, paired with randomized cache geometries including
-  set-associative and exotic write policies;
-* the JIT fuzz corpus (:func:`repro.jit.corpus.random_case`), which also
-  produces triangular/imperfect/indirect shapes — each case must either
-  match the simulator or bail out;
+* 240 seeded ``random_case(seed, "affine")`` programs from
+  :mod:`repro.bench.corpus` — exactly the analyzable class, paired with
+  randomized cache geometries including set-associative and exotic
+  write policies;
+* the same corpus's ``fuzz`` profile, which the JIT battery draws from
+  and which also produces triangular/imperfect/indirect shapes — each
+  case must either match the simulator or bail out;
 * the on-disk DSL corpora (``tests/corpus/lint``, ``examples/kernels``).
 
 The large streaming corpus the throughput gate uses
@@ -22,16 +23,11 @@ import pytest
 
 from repro import simulate_program
 from repro.analysis.predict import predict_misses
-from repro.analysis.predict_corpus import (
-    bailout_case,
-    eligible_corpus,
-    random_affine_case,
-)
+from repro.bench.corpus import bailout_case, eligible_corpus, random_case
 from repro.bench.suites import get_spec
 from repro.cache.config import CacheConfig, base_cache
 from repro.cache.sim import ReferenceCache
 from repro.frontend import parse_program
-from repro.jit.corpus import random_case
 from repro.layout.layout import original_layout
 from repro.trace.interpreter import trace_addresses
 
@@ -61,7 +57,7 @@ class TestSeededAffineBattery:
 
     @pytest.mark.parametrize("seed", AFFINE_SEEDS)
     def test_predicts_exactly(self, seed):
-        case = random_affine_case(seed)
+        case = random_case(seed, "affine")
         outcome = predict_misses(case.prog, case.layout, case.cache)
         assert outcome.analyzable, (
             f"{case.name}: {[b.render() for b in outcome.bailouts]}"
@@ -75,7 +71,7 @@ class TestSeededAffineBattery:
         """The battery covers the geometries the claim is about."""
         assocs, policies = set(), set()
         for seed in AFFINE_SEEDS:
-            cache = random_affine_case(seed).cache
+            cache = random_case(seed, "affine").cache
             assocs.add(cache.associativity)
             policies.add((cache.write_allocate, cache.write_back))
         assert {1, 2, 4} <= assocs
@@ -87,7 +83,7 @@ class TestAgainstReferenceCacheDirectly:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_access_for_access(self, seed):
-        case = random_affine_case(seed)
+        case = random_case(seed, "affine")
         outcome = predict_misses(case.prog, case.layout, case.cache)
         assert outcome.analyzable
         addrs, writes = trace_addresses(case.prog, case.layout, jit="off")

@@ -21,7 +21,7 @@ from repro.analysis.predict import (
     classify_program,
     predict_misses,
 )
-from repro.analysis.predict_corpus import bailout_case, random_affine_case
+from repro.bench.corpus import bailout_case
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError, PredictError, UsageError
 from repro.experiments.runner import Runner
@@ -341,26 +341,8 @@ class TestCampaignPolicyTier:
 
 
 class TestEstimatorExactPath:
-    def test_exact_estimate_for_analyzable_kernel(self):
-        from repro.extensions.estimate import estimate_conflicts
-
-        prog = vector_sum_program(256)
-        layout = original_layout(prog)
-        est = estimate_conflicts(prog, layout, CacheConfig(2048, 32, 1),
-                                 exact=True)
-        assert est.exact is True
-        assert est.bailout is None
-        assert est.error_bound_pct == 0.0
-
-    def test_modeled_estimate_carries_bailout(self):
-        from repro.extensions.estimate import estimate_conflicts
-
-        case = bailout_case("triangular")
-        est = estimate_conflicts(case.prog, case.layout, case.cache,
-                                 exact=True)
-        assert est.exact is False
-        assert est.bailout == "symbolic_bounds"
-        assert est.error_bound_pct >= 0.0  # modeled, not exact
+    """The estimator has no exact path of its own: exact brownout answers
+    come from the predictor in :mod:`repro.resilience.degrade`."""
 
     def test_default_stays_on_the_heuristic_model(self):
         from repro.extensions.estimate import estimate_conflicts
@@ -368,8 +350,10 @@ class TestEstimatorExactPath:
         prog = vector_sum_program(256)
         est = estimate_conflicts(prog, original_layout(prog),
                                  CacheConfig(2048, 32, 1))
-        assert est.exact is False
-        assert est.bailout is None
+        assert not hasattr(est, "exact") and not hasattr(est, "bailout")
+        assert est.error_bound_pct == max(
+            0.0, est.miss_rate_pct - est.streaming_floor_pct
+        )
 
 
 class TestLintC006:
