@@ -18,8 +18,10 @@ predictor evaluates it exactly:
   reason from :data:`BAILOUT_REASONS` — the predictor never silently
   approximates.
 
-* **Evaluation** replays the per-set LRU automaton over each unit's
-  address stream, accelerated by *translation folding*: when every
+* **Evaluation** replays each unit's address stream, in whole blocks of
+  arrays, on the per-set LRU automaton every simulation runs (the engine
+  of :mod:`repro.cache.fastsim`, whose attribution output gives the
+  per-reference split), accelerated by *translation folding*: when every
   reference in a top-level loop advances by the same ``delta`` bytes per
   outer iteration, the stream of iteration block ``t + 1`` is the stream
   of block ``t`` translated by a whole number of cache lines ``w`` (after
@@ -47,19 +49,19 @@ pins this across the seeded corpus and the JIT fuzz corpus.
 Attribution conventions (enrichment beyond the simulator's counters):
 conflict misses are classified *self* when the evicting access named the
 same array within the same top-level unit, *cross* otherwise (including
-evictions by earlier top-level units and write-no-allocate bypasses, which
-leave no eviction record).
+evictions by earlier top-level units, which leave no eviction record).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
+from repro.cache.fastsim import _EMPTY_LINE, _StackDistanceLRU
 from repro.cache.stats import CacheStats
 from repro.errors import PredictError
 from repro.ir.expr import AffineExpr
@@ -76,13 +78,17 @@ from repro.obs import runtime as obs
 #: ``repro_predict_bailouts_total``): the static
 #: :data:`~repro.ir.nest.NEST_REASONS`, plus ``indirect`` for a gather
 #: reference (translation folding needs an address stream that shifts with
-#: the loop variables, and gathered values do not), plus ``exceeds_budget``,
-#: issued at evaluation time when an unfoldable program would need more
-#: than ``budget`` replayed accesses.
-BAILOUT_REASONS = NEST_REASONS + ("indirect", "exceeds_budget")
+#: the loop variables, and gathered values do not), plus ``write_policy``
+#: for a write-no-allocate cache (the engine allocates every miss), plus
+#: ``exceeds_budget``, issued at evaluation time when an unfoldable
+#: program would need more than ``budget`` replayed accesses.
+BAILOUT_REASONS = NEST_REASONS + ("indirect", "write_policy", "exceeds_budget")
 
 #: Default replay budget (accesses) for :func:`predict_misses`.
 DEFAULT_BUDGET = 1 << 22
+
+#: Accesses per engine call (bounds the replay's numpy workspace).
+_CHUNK = 1 << 16
 
 #: Ceiling on numpy workspace elements for fold bookkeeping; a fold whose
 #: bookkeeping would be larger is skipped (replay continues — never an
@@ -207,11 +213,12 @@ class _StmtUnit:
     """Straight-line statement: one address expression per reference."""
 
     __slots__ = ("exprs", "flags", "ref_ids")
+    outer = 1
 
     def __init__(self, exprs, flags, ref_ids):
         self.exprs = exprs
-        self.flags = flags
-        self.ref_ids = ref_ids
+        self.flags = np.array(flags, dtype=bool)
+        self.ref_ids = np.array(ref_ids, dtype=np.int64)
 
     @property
     def accesses(self) -> int:
@@ -224,13 +231,13 @@ class _StmtUnit:
 class _NestUnit:
     """Perfect affine nest with constant bounds, in the shared normal form."""
 
-    __slots__ = ("form", "trips", "flags", "ref_ids", "total_iters")
+    __slots__ = ("form", "trips", "outer", "ref_ids", "total_iters")
 
     def __init__(self, form: NestForm, ref_ids):
         self.form = form
         self.trips = form.trips({})
-        self.flags = form.flags.tolist()
-        self.ref_ids = list(ref_ids)
+        self.outer = self.trips[0]
+        self.ref_ids = np.array(ref_ids, dtype=np.int64)
         self.total_iters = math.prod(self.trips)
 
     @property
@@ -244,7 +251,7 @@ class _NestUnit:
 
     def outer_delta(self) -> Optional[int]:
         """Uniform byte advance per level-0 iteration, or None."""
-        if not self.ref_ids:
+        if not len(self.ref_ids):
             return 0
         deltas = set(int(d) for d in self.form.scaled[:, 0])
         return deltas.pop() if len(deltas) == 1 else None
@@ -252,31 +259,22 @@ class _NestUnit:
     def delta_of(self, var: str, step: int) -> List[int]:
         return [e.coeff(var) * step for e in self.form.consts]
 
-    def emit(self, env, flat_lo: int, flat_hi: int, chunk: int = 1 << 14):
-        """Yield (addrs, flags, ref_ids) lists for a flat iteration range."""
-        tiled = {}
-        for addrs, _ in self.form.bind(env).blocks(chunk, flat_lo, flat_hi):
-            iters = len(addrs) // len(self.ref_ids)
-            if iters not in tiled:
-                tiled[iters] = (self.flags * iters, self.ref_ids * iters)
-            yield (addrs.tolist(),) + tiled[iters]
-
 
 class _SeqLoop:
     """Constant-bound loop whose body is a sequence of sub-units."""
 
-    __slots__ = ("var", "lower", "step", "trips", "body")
+    __slots__ = ("var", "lower", "step", "outer", "body")
 
-    def __init__(self, var, lower, step, trips, body):
+    def __init__(self, var, lower, step, outer, body):
         self.var = var
         self.lower = lower
         self.step = step
-        self.trips = trips
+        self.outer = outer
         self.body = body
 
     @property
     def accesses(self) -> int:
-        return self.trips * sum(u.accesses for u in self.body)
+        return self.outer * sum(u.accesses for u in self.body)
 
     def outer_delta(self) -> Optional[int]:
         deltas = set()
@@ -420,201 +418,6 @@ class _Classifier:
         return _NestUnit(form, found[1])
 
 
-class _Model:
-    """Exact set-associative LRU automaton with per-reference attribution.
-
-    Semantics transcribed from :class:`repro.cache.sim.ReferenceCache`
-    access by access (the differential battery holds the two together).
-    """
-
-    def __init__(self, cache: CacheConfig, nrefs: int, ref_arrays):
-        self.cache = cache
-        self.line_bytes = cache.line_bytes
-        self.num_sets = cache.num_sets
-        self.assoc = cache.associativity
-        self.write_back = cache.write_back
-        self.write_allocate = cache.write_allocate
-        self.sets: List[List[List]] = [[] for _ in range(self.num_sets)]
-        self.seen: set = set()
-        # Folded units record their touched lines as arithmetic
-        # progressions {l + k*w : l in base, 1 <= k <= folded} instead of
-        # materializing them: (base_lines, w, folded).
-        self.seen_folds: List[Tuple[List[int], int, int]] = []
-        self.evictor: Dict[int, str] = {}
-        self.ref_arrays = ref_arrays
-        self.accesses = 0
-        self.replayed = 0
-        self.writebacks = 0
-        self.ref_acc = [0] * nrefs
-        self.ref_miss = [0] * nrefs
-        self.ref_cold = [0] * nrefs
-        self.ref_self = [0] * nrefs
-        self.ref_cross = [0] * nrefs
-        self.touch_log: Optional[set] = None
-        self.evict_log: Optional[List[Tuple[int, str]]] = None
-        self.budget = None
-
-    # -- replay -----------------------------------------------------------
-
-    def replay(self, addrs, flags, ref_ids) -> None:
-        if self.budget is not None and self.replayed + len(addrs) > self.budget:
-            raise _BudgetExceeded()
-        L = self.line_bytes
-        S = self.num_sets
-        assoc = self.assoc
-        wb = self.write_back
-        walloc = self.write_allocate
-        sets = self.sets
-        seen = self.seen
-        folds = self.seen_folds
-        evictor = self.evictor
-        ref_arrays = self.ref_arrays
-        ref_acc = self.ref_acc
-        ref_miss = self.ref_miss
-        ref_cold = self.ref_cold
-        ref_self = self.ref_self
-        ref_cross = self.ref_cross
-        touch = self.touch_log
-        evlog = self.evict_log
-        writebacks = self.writebacks
-        for addr, is_write, rid in zip(addrs, flags, ref_ids):
-            line = addr // L
-            ways = sets[line % S]
-            ref_acc[rid] += 1
-            if is_write and not wb:
-                writebacks += 1
-            if touch is not None:
-                touch.add(line)
-            hit = False
-            for pos, entry in enumerate(ways):
-                if entry[0] == line:
-                    ways.append(ways.pop(pos))
-                    if is_write and wb:
-                        entry[1] = True
-                    hit = True
-                    break
-            if hit:
-                continue
-            ref_miss[rid] += 1
-            if line in seen:
-                fresh = False
-            else:
-                fresh = True
-                for fbase, fw, fhi in folds:
-                    for fl in fbase:
-                        q, r = divmod(line - fl, fw)
-                        if r == 0 and 1 <= q <= fhi:
-                            fresh = False
-                            break
-                    if not fresh:
-                        break
-                seen.add(line)  # promote so later checks stay O(1)
-            if fresh:
-                ref_cold[rid] += 1
-            else:
-                arr = evictor.get(line)
-                if arr is not None and arr == ref_arrays[rid]:
-                    ref_self[rid] += 1
-                else:
-                    ref_cross[rid] += 1
-            if is_write and not walloc:
-                continue
-            if len(ways) >= assoc:
-                victim = ways.pop(0)
-                if victim[1]:
-                    writebacks += 1
-                evictor[victim[0]] = ref_arrays[rid]
-                if evlog is not None:
-                    evlog.append((victim[0], ref_arrays[rid]))
-            ways.append([line, is_write and wb])
-        self.writebacks = writebacks
-        self.accesses += len(addrs)
-        self.replayed += len(addrs)
-
-    # -- fold bookkeeping -------------------------------------------------
-
-    def begin_logs(self) -> None:
-        self.touch_log = set()
-        self.evict_log = []
-
-    def end_logs(self):
-        touched, evictions = self.touch_log, self.evict_log
-        self.touch_log = None
-        self.evict_log = None
-        return touched, evictions
-
-    def counter_snapshot(self):
-        return (
-            tuple(self.ref_acc), tuple(self.ref_miss), tuple(self.ref_cold),
-            tuple(self.ref_self), tuple(self.ref_cross),
-            self.writebacks, self.accesses,
-        )
-
-    def signature(self):
-        return [tuple((e[0], e[1]) for e in ways) for ways in self.sets]
-
-    def matches_translated(self, prev_sig, w: int) -> bool:
-        """Current state == prev state with every line shifted by ``w``."""
-        S = self.num_sets
-        sets = self.sets
-        for s in range(S):
-            cur = sets[(s + w) % S]
-            prev = prev_sig[s]
-            if len(cur) != len(prev):
-                return False
-            for (tag, dirty), entry in zip(prev, cur):
-                if entry[0] != tag + w or entry[1] != dirty:
-                    return False
-        return True
-
-    def translate(self, shift: int) -> None:
-        S = self.num_sets
-        old = self.sets
-        new: List[List[List]] = [[] for _ in range(S)]
-        for s in range(S):
-            new[(s + shift) % S] = [[e[0] + shift, e[1]] for e in old[s]]
-        self.sets = new
-
-    def apply_fold(self, folded: int, before, after, w: int,
-                   measured_lines: np.ndarray, evictions,
-                   horizon: int) -> None:
-        """Account ``folded`` repetitions of the measured unit delta.
-
-        ``measured_lines`` is the line footprint of the measured block
-        (the block whose delta is being repeated); the folded blocks
-        touch exactly its translates.
-        """
-        for cur, prev in (
-            (self.ref_acc, (after[0], before[0])),
-            (self.ref_miss, (after[1], before[1])),
-            (self.ref_cold, (after[2], before[2])),
-            (self.ref_self, (after[3], before[3])),
-            (self.ref_cross, (after[4], before[4])),
-        ):
-            a, b = prev
-            for i in range(len(cur)):
-                cur[i] += (a[i] - b[i]) * folded
-        self.writebacks += (after[5] - before[5]) * folded
-        self.accesses += (after[6] - before[6]) * folded
-        if w:
-            self.translate(folded * w)
-            base = np.unique(measured_lines)
-            self.seen_folds.append((base.tolist(), w, folded))
-            # Eviction records only matter within the self-overlap horizon
-            # of the end of the folded span (later touches of a line are
-            # at most ``horizon`` units apart), so replaying the last few
-            # translated copies of the measured unit's evictions restores
-            # the map exactly for the tail and for nothing else.
-            window = min(folded, horizon + 1)
-            for k in range(folded - window + 1, folded + 1):
-                off = k * w
-                for line, arr in evictions:
-                    self.evictor[line + off] = arr
-        else:
-            for line, arr in evictions:
-                self.evictor[line] = arr
-
-
 def _period(delta: int, line_bytes: int) -> Tuple[int, int]:
     """(iterations per block, whole-line shift per block) for ``delta``."""
     if delta == 0:
@@ -656,18 +459,25 @@ def _horizon(u0: np.ndarray, w: int, num_units: int) -> Tuple[int, np.ndarray]:
 
 def _progression_member(lines: np.ndarray, base: np.ndarray, w: int,
                         lo: int, hi: int) -> np.ndarray:
-    """Membership of ``lines`` in ``{b + k*w : b in base, lo <= k <= hi}``."""
-    member = np.zeros(lines.shape, dtype=bool)
+    """Membership of ``lines`` in ``{b + k*w : b in base, lo <= k <= hi}``.
+
+    ``w`` is nonzero.  ``x = b + k*w`` iff ``x`` and ``b`` share their
+    residue mod ``|w|`` and ``b``'s quotient lies in ``x``'s window of
+    ``k``: one ``searchsorted`` over sorted (residue, quotient) keys.
+    """
     if hi < lo or len(base) == 0:
-        return member
-    for b in base:
-        diff = lines - int(b)
-        if w:
-            k, r = np.divmod(diff, w)
-            member |= (r == 0) & (k >= lo) & (k <= hi)
-        else:
-            member |= diff == 0
-    return member
+        return np.zeros(lines.shape, dtype=bool)
+    aw = abs(w)
+    quot = base // aw
+    q0 = int(quot.min()) - 1
+    span = int(quot.max()) - q0 + 2  # base keys lie in [1, span - 2]
+    keys = np.sort(base % aw * span + (quot - q0))
+    ends = lines // aw - q0 - np.sign(w) * np.array([[lo], [hi]])
+    first, last = np.clip(np.sort(ends, axis=0), 0, span - 1)
+    residue = lines % aw * span
+    return np.searchsorted(keys, residue + first) < np.searchsorted(
+        keys, residue + last, side="right"
+    )
 
 
 def _fresh_stable(forever_fresh: np.ndarray, w: int, start: int,
@@ -699,143 +509,251 @@ def _fresh_stable(forever_fresh: np.ndarray, w: int, start: int,
         member = entry_seen[idx] == lines
     else:
         member = np.zeros(lines.shape, dtype=bool)
+    # A fold of the same stride covers one run of copies per offset and
+    # base line of its residue: b + k*w == f + t*w for t = k + (b - f)/w.
+    runs = np.zeros((len(forever_fresh), span + 1), dtype=np.int32)
     for fbase, fw, fhi in entry_folds:
         if len(fbase) * len(lines) > _MAX_WORKSPACE:
             return False
-        member |= _progression_member(
-            lines, np.asarray(fbase, dtype=np.int64), fw, 1, fhi
-        )
+        if fw != w:
+            member |= _progression_member(lines, fbase, fw, 1, fhi)
+            continue
+        diff = fbase[None, :] - forever_fresh[:, None]
+        row, col = np.nonzero(diff % abs(w) == 0)
+        first = diff[row, col] // w + 1 - start
+        np.add.at(runs, (row, np.clip(first, 0, span)), 1)
+        np.add.at(runs, (row, np.clip(first + fhi, 0, span)), -1)
+    member |= (np.cumsum(runs, axis=1, dtype=np.int32)[:, :span] > 0).ravel()
     counts = member.reshape(len(forever_fresh), span).sum(axis=1)
     return bool(np.all((counts == 0) | (counts == span)))
 
 
-class _Evaluator:
-    """Drives the model over the unit tree, folding where provable."""
+def _shifted(state, shift: int):
+    """A cache state with every resident line moved ``shift`` lines (set
+    indices rotate with them; empty ways stay empty)."""
+    tags, dirty = (np.roll(a, shift % len(a), axis=0) for a in state)
+    tags[tags >= _EMPTY_LINE + tags.size] += shift
+    return tags, dirty
 
-    def __init__(self, units, model: _Model, budget: int):
+
+def _same_state(a, b) -> bool:
+    """Equal states, whatever sentinels mark their empty ways."""
+    real_a, real_b = (s[0] >= _EMPTY_LINE + s[0].size for s in (a, b))
+    return (np.array_equal(real_a, real_b)
+            and np.array_equal(a[0][real_a], b[0][real_b])
+            and np.array_equal(a[1], b[1]))
+
+
+#: An empty eviction map: one key above every line, never written.
+_NO_EVICTIONS = (np.array([np.iinfo(np.int64).max]), np.array([-1]))
+
+
+class _Evaluator:
+    """Replays the unit tree on the LRU engine, folding where provable.
+
+    ``counts`` rows are per-reference accesses, misses, cold, self and
+    cross misses.  ``evicted`` maps each line evicted in the current
+    top-level unit (sorted keys) to the array id of its last evictor.
+    """
+
+    def __init__(self, units, cache: CacheConfig, ref_arrays, budget: int):
         self.units = units
-        self.model = model
-        self.model.budget = budget
+        self.engine = _StackDistanceLRU(cache)
+        self.budget = budget
         self.replayed = 0
+        self.ref_array = np.unique(ref_arrays, return_inverse=True)[1]
+        self.counts = np.zeros((5, len(ref_arrays)), dtype=np.int64)
+        # Folded units record their touched lines as arithmetic
+        # progressions {l + k*w : l in base, 1 <= k <= folded} instead of
+        # materializing them: (base_lines, w, folded).
+        self.seen_folds: List[Tuple[np.ndarray, int, int]] = []
+        self.evicted = _NO_EVICTIONS
+        self.log: Optional[list] = None  # see _measure
 
     def run(self) -> None:
         for unit in self.units:
             if isinstance(unit, _StmtUnit):
-                self._replay_stmt(unit, {})
+                self._replay(unit, 0, 1)
             else:
                 self._run_top(unit)
-        self.replayed = self.model.replayed
 
-    # -- plain replay -----------------------------------------------------
+    # -- replay -----------------------------------------------------------
 
-    def _replay_stmt(self, unit: _StmtUnit, env) -> None:
-        if not unit.exprs:
-            return
-        addrs = [e.evaluate(env) for e in unit.exprs]
-        self.model.replay(addrs, unit.flags, unit.ref_ids)
-
-    def _replay_sub(self, unit, env) -> None:
+    def _stream(self, unit, env, lo: int = 0, hi: Optional[int] = None):
+        """(addresses, writes, ref ids) arrays of outer iterations
+        ``[lo, hi)`` (all by default; a statement has one)."""
         if isinstance(unit, _StmtUnit):
-            self._replay_stmt(unit, env)
+            addrs = [e.evaluate(env) for e in unit.exprs]
+            yield np.array(addrs, dtype=np.int64), unit.flags, unit.ref_ids
         elif isinstance(unit, _NestUnit):
-            for addrs, flags, ids in unit.emit(env, 0, unit.total_iters):
-                self.model.replay(addrs, flags, ids)
+            inner, refs = unit.inner_iters, unit.ref_ids
+            flat_hi = None if hi is None else hi * inner
+            nest = unit.form.bind(env)
+            for addrs, flags in nest.blocks(_CHUNK, lo * inner, flat_hi):
+                yield addrs, flags, np.tile(refs, len(addrs) // len(refs))
         else:
             env = dict(env)
-            for t in range(unit.trips):
+            for t in range(lo, unit.outer if hi is None else hi):
                 env[unit.var] = unit.lower + t * unit.step
                 for child in unit.body:
-                    self._replay_sub(child, env)
+                    yield from self._stream(child, env)
 
-    def _replay_outer(self, unit, lo: int, hi: int) -> None:
-        """Replay outer iterations ``[lo, hi)`` of a top-level loop unit."""
-        if isinstance(unit, _NestUnit):
-            inner = unit.inner_iters
-            for addrs, flags, ids in unit.emit({}, lo * inner, hi * inner):
-                self.model.replay(addrs, flags, ids)
-        else:
-            env: Dict[str, int] = {}
-            for t in range(lo, hi):
-                env[unit.var] = unit.lower + t * unit.step
-                for child in unit.body:
-                    self._replay_sub(child, env)
+    def _replay(self, unit, lo: int, hi: int) -> None:
+        """Replay outer iterations ``[lo, hi)`` of a top-level unit, whole
+        blocks concatenated into engine calls of about ``_CHUNK``."""
+        count = (hi - lo) * (unit.accesses // unit.outer)
+        if self.replayed + count > self.budget:
+            raise _BudgetExceeded()
+        self.replayed += count
+        batch, size = [], 0
+        for piece in self._stream(unit, {}, lo, hi):
+            batch.append(piece)
+            size += len(piece[0])
+            if size >= _CHUNK:
+                self._attribute(*map(np.concatenate, zip(*batch)))
+                batch, size = [], 0
+        if size:
+            self._attribute(*map(np.concatenate, zip(*batch)))
+
+    def _attribute(self, addrs, flags, ref_ids) -> None:
+        """One engine call, its misses attributed per reference."""
+        misses, attribution = self.engine.attribute_chunk(addrs, flags)
+        lines = addrs // self.engine.config.line_bytes
+        arrays = self.ref_array[ref_ids]
+        missed = np.flatnonzero(misses)
+        # Cold: a first touch the engine never saw, in no folded span.
+        cold = attribution.first_touch[missed]
+        for base, w, hi in self.seen_folds:
+            cold[cold] = ~_progression_member(
+                lines[missed[cold]], base, w, 1, hi
+            )
+        warm = missed[~cold]
+        # The evictor inside this call, else the unit's record, else none.
+        prior = attribution.evicted_by[warm]
+        keys, vals = self.evicted
+        at = np.searchsorted(keys, lines[warm])
+        recorded = np.where(keys[at] == lines[warm], vals[at], -1)
+        own = np.where(prior >= 0, arrays[prior], recorded) == arrays[warm]
+        hits = (ref_ids, ref_ids[missed], ref_ids[missed[cold]],
+                ref_ids[warm[own]], ref_ids[warm[~own]])
+        for row, hit in zip(self.counts, hits):
+            row += np.bincount(hit, minlength=len(row))
+        evictors = arrays[attribution.evictors]
+        if self.log is not None:
+            self.log.append((lines, attribution.victims, evictors))
+        self._record(attribution.victims, evictors)
+
+    def _record(self, lines, arrays) -> None:
+        """Make each line's last entry in ``lines`` its evictor."""
+        lines, last = np.unique(lines[::-1], return_index=True)
+        arrays = arrays[::-1][last]
+        keys, vals = self.evicted
+        at = np.searchsorted(keys, lines)
+        known = keys[at] == lines
+        vals[at[known]] = arrays[known]  # (never _NO_EVICTIONS: no match)
+        self.evicted = (np.insert(keys, at[~known], lines[~known]),
+                        np.insert(vals, at[~known], arrays[~known]))
 
     # -- folding ----------------------------------------------------------
 
     def _run_top(self, unit) -> None:
-        self.model.evictor.clear()  # attribution is per top-level unit
-        entry_seen = np.fromiter(
-            self.model.seen, dtype=np.int64, count=len(self.model.seen)
-        )
-        entry_seen.sort()
-        entry_folds = tuple(self.model.seen_folds)
-        n = unit.trips[0] if isinstance(unit, _NestUnit) else unit.trips
+        self.evicted = _NO_EVICTIONS  # attribution is per top-level unit
+        engine = self.engine
+        entry_seen = engine._seen  # the engine replaces it, never mutates
+        entry_folds = tuple(self.seen_folds)
+        n = unit.outer
         if n <= 0 or unit.accesses == 0:
             return
         delta = unit.outer_delta()
         if delta is None:
-            self._replay_outer(unit, 0, n)
+            self._replay(unit, 0, n)
             return
-        p, w = _period(delta, self.model.line_bytes)
+        p, w = _period(delta, engine.config.line_bytes)
         num_units, _tail = divmod(n, p)
         if num_units < 4:
-            self._replay_outer(unit, 0, n)
+            self._replay(unit, 0, n)
             return
-        # Block 0 under a touch log establishes the footprint and the
-        # cold-miss horizon; fold checks then run at exponentially spaced
-        # checkpoints (strict translation matching may only start holding
-        # once the stream has wrapped the cache sets, so checking every
-        # block would cost more signatures than it saves replay).
-        self.model.begin_logs()
-        self._replay_outer(unit, 0, p)
-        touched, _evictions = self.model.end_logs()
-        u0 = np.fromiter(touched, dtype=np.int64, count=len(touched))
-        u0.sort()
+        # Block 0 establishes the footprint and the cold-miss horizon;
+        # fold checks then run at exponentially spaced checkpoints (strict
+        # translation matching may only start holding once the stream has
+        # wrapped the cache sets, so checking every block would cost more
+        # signatures than it saves replay).
+        u0 = np.unique(self._measure(unit, 0, p)[0])
         m, forever_fresh = _horizon(u0, w, num_units)
         done = 1  # blocks fully replayed so far
         check = max(m, 1)
         while check + 1 < num_units:
             # Replay up to the checkpoint pair (check, check + 1).
             if check - 1 > done:
-                self._replay_outer(unit, done * p, (check - 1) * p)
+                self._replay(unit, done * p, (check - 1) * p)
                 done = check - 1
             if done < check:
-                self._replay_outer(unit, done * p, check * p)
+                self._replay(unit, done * p, check * p)
                 done = check
-            prev_sig = self.model.signature()
-            prev_snap = self.model.counter_snapshot()
-            self.model.begin_logs()
-            self._replay_outer(unit, check * p, (check + 1) * p)
-            _touched, evictions = self.model.end_logs()
-            snap = self.model.counter_snapshot()
+            translated = _shifted((engine._tags, engine._dirty), w)
+            prev_counts = self.counts.copy(), engine.stats.writebacks
+            _, victims, evictors = self._measure(
+                unit, check * p, (check + 1) * p
+            )
             done = check + 1
             measured = check  # block index whose delta was measured
             folded = num_units - done
             if (
                 folded > 0
                 and measured >= m
-                and self.model.matches_translated(prev_sig, w)
-                and self._fold_allowed(len(evictions), folded, m, w)
+                and _same_state(translated, (engine._tags, engine._dirty))
+                and (not w or len(victims) * min(folded, m + 1)
+                     <= _MAX_EVICT_OPS)
                 and _fresh_stable(
                     forever_fresh, w, measured, num_units,
                     entry_seen, entry_folds,
                 )
             ):
-                self.model.apply_fold(
-                    folded, prev_snap, snap, w,
-                    u0 + measured * w, evictions, m,
-                )
+                self._fold(folded, prev_counts, w, u0 + measured * w,
+                           victims, evictors, m)
                 done = num_units
                 break
             check = max(check * 2, check + 1)
         if done < num_units:
-            self._replay_outer(unit, done * p, num_units * p)
-        self._replay_outer(unit, num_units * p, n)
+            self._replay(unit, done * p, num_units * p)
+        self._replay(unit, num_units * p, n)
 
-    def _fold_allowed(self, evict_count, folded, m, w) -> bool:
+    def _measure(self, unit, lo: int, hi: int):
+        """Replay ``[lo, hi)``; its (lines, victims, evictor array ids)."""
+        self.log = []
+        self._replay(unit, lo, hi)
+        log, self.log = self.log, None
+        return [np.concatenate(column) for column in zip(*log)]
+
+    def _fold(self, folded: int, before, w: int, measured_lines: np.ndarray,
+              victims, evictors, horizon: int) -> None:
+        """Account ``folded`` repetitions of the measured unit delta.
+
+        ``measured_lines`` is the line footprint of the measured block
+        (the block whose delta is being repeated); the folded blocks
+        touch exactly its translates.  With ``w == 0`` the state and the
+        eviction records already are those after the fold.
+        """
+        engine = self.engine
+        self.counts += (self.counts - before[0]) * folded
+        stats = engine.stats  # counts the folded writebacks too
+        stats.writebacks += (stats.writebacks - before[1]) * folded
         if not w:
-            return True
-        return evict_count * min(folded, m + 1) <= _MAX_EVICT_OPS
+            return
+        engine._tags, engine._dirty = _shifted(
+            (engine._tags, engine._dirty), folded * w
+        )
+        self.seen_folds.append((np.unique(measured_lines), w, folded))
+        # Eviction records only matter within the self-overlap horizon of
+        # the end of the folded span (later touches of a line are at most
+        # ``horizon`` units apart), so the last few translated copies of
+        # the measured unit's evictions restore the map exactly for the
+        # tail and for nothing else.
+        window = min(folded, horizon + 1)
+        shifts = np.arange(folded - window + 1, folded + 1) * w
+        self._record(
+            (shifts[:, None] + victims).ravel(), np.tile(evictors, window)
+        )
 
 
 def classify_program(prog: Program, layout: MemoryLayout):
@@ -870,33 +788,28 @@ def predict_misses(
     )
     units, ref_meta, bailouts = classify_program(prog, layout)
     if units is None:
-        for b in bailouts:
-            obs.counter_add(
-                "repro_predict_bailouts_total", 1,
-                "analytic predictions refused, by precondition",
-                reason=b.reason,
-            )
-        return PredictOutcome(None, bailouts)
+        return _refuse(bailouts)
+    if not cache.write_allocate:
+        return _refuse((Bailout(
+            "write_policy",
+            "write-no-allocate cache (a write miss bypasses it)",
+        ),))
     total_accesses = sum(u.accesses for u in units)
-    model = _Model(cache, len(ref_meta), [r.array for r in ref_meta])
-    evaluator = _Evaluator(units, model, budget)
+    evaluator = _Evaluator(units, cache, [r.array for r in ref_meta], budget)
     try:
         evaluator.run()
     except _BudgetExceeded:
-        bail = Bailout(
+        return _refuse((Bailout(
             "exceeds_budget",
             f"replay would exceed {budget} accesses "
             f"(program has {total_accesses})",
-        )
-        obs.counter_add(
-            "repro_predict_bailouts_total", 1,
-            "analytic predictions refused, by precondition",
-            reason="exceeds_budget",
-        )
-        return PredictOutcome(None, (bail,))
-    if model.accesses != total_accesses:  # pragma: no cover - invariant
+        ),))
+    acc, miss, cold, own, cross = (
+        [int(v) for v in row] for row in evaluator.counts
+    )
+    if sum(acc) != total_accesses:  # pragma: no cover - invariant
         raise PredictError(
-            f"internal accounting drift: {model.accesses} accesses "
+            f"internal accounting drift: {sum(acc)} accesses "
             f"evaluated, {total_accesses} expected"
         )
     per_ref = tuple(
@@ -907,11 +820,11 @@ def predict_misses(
             line=meta.line,
             is_write=meta.is_write,
             unit_index=meta.unit_index,
-            accesses=model.ref_acc[i],
-            misses=model.ref_miss[i],
-            cold_misses=model.ref_cold[i],
-            self_conflict_misses=model.ref_self[i],
-            cross_conflict_misses=model.ref_cross[i],
+            accesses=acc[i],
+            misses=miss[i],
+            cold_misses=cold[i],
+            self_conflict_misses=own[i],
+            cross_conflict_misses=cross[i],
         )
         for i, meta in enumerate(ref_meta)
     )
@@ -920,14 +833,14 @@ def predict_misses(
     read_misses = sum(r.misses for r in per_ref if not r.is_write)
     write_misses = sum(r.misses for r in per_ref if r.is_write)
     stats = CacheStats(
-        accesses=model.accesses,
-        misses=sum(model.ref_miss),
+        accesses=sum(acc),
+        misses=sum(miss),
         reads=reads,
         writes=writes,
         read_misses=read_misses,
         write_misses=write_misses,
-        writebacks=model.writebacks,
-        cold_misses=sum(model.ref_cold),
+        writebacks=evaluator.engine.stats.writebacks,
+        cold_misses=sum(cold),
     )
     prediction = MissPrediction(
         stats=stats,
@@ -941,3 +854,14 @@ def predict_misses(
         "exact analytic miss predictions produced",
     )
     return PredictOutcome(prediction, ())
+
+
+def _refuse(bailouts: Tuple[Bailout, ...]) -> PredictOutcome:
+    """Count each bailout by reason; the outcome carrying them."""
+    for b in bailouts:
+        obs.counter_add(
+            "repro_predict_bailouts_total", 1,
+            "analytic predictions refused, by precondition",
+            reason=b.reason,
+        )
+    return PredictOutcome(None, bailouts)

@@ -28,14 +28,18 @@ against :class:`repro.cache.sim.ReferenceCache`.  Per chunk:
 6. Cold misses count distinct lines ever touched, kept in a sorted int64
    array and merged through ``searchsorted``.
 
-:class:`FastDirectMapped` and :class:`FastSetAssociative` are names over
-that engine: each keeps its own ``engine_label`` and ``access_chunk``.
+Writes allocate; under write-through nothing is dirty and every write
+is one writeback.  :class:`FastDirectMapped` and
+:class:`FastSetAssociative` are names over that engine: each keeps its
+own ``engine_label`` and ``access_chunk``.  The unlabelled base engine
+records no metrics; the analytic predictor drives it through
+:meth:`_StackDistanceLRU.attribute_chunk`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,11 +54,11 @@ from repro.obs.runtime import is_enabled as _obs_enabled
 def make_simulator(config: CacheConfig):
     """The fastest exact engine for a configuration.
 
-    The vectorized engine assumes the paper's write-allocate/write-back
-    policy (its transformations do too); exotic policies fall back to the
-    reference simulator, which implements them exactly.
+    The vectorized engine serves every write-allocate cache, write-back
+    or write-through; a write-no-allocate cache (a write miss bypasses
+    the cache) falls back to the reference simulator.
     """
-    if not (config.write_allocate and config.write_back):
+    if not config.write_allocate:
         return ReferenceCache(config)
     if config.is_direct_mapped:
         return FastDirectMapped(config)
@@ -133,8 +137,26 @@ def _distinct_below(prev, pos, nxt, ways: int) -> np.ndarray:
     return hit
 
 
+class Attribution(NamedTuple):
+    """Where a chunk's misses came from, for the analytic predictor.
+
+    Per access: the first touch of a line never seen before, and for a
+    miss whose line's previous residency ended inside the chunk, the
+    chunk position of its evictor (else -1).  Per residency that ended
+    inside the chunk: the victim line and the chunk position of its
+    evictor, grouped by set and in eviction order within a set.
+    """
+
+    first_touch: np.ndarray
+    evicted_by: np.ndarray
+    victims: np.ndarray
+    evictors: np.ndarray
+
+
 class _StackDistanceLRU:
-    """Exact write-allocate/write-back k-way LRU over numpy chunks."""
+    """Exact write-allocate k-way LRU over numpy chunks."""
+
+    engine_label: Optional[str] = None  # of the ``repro_sim_*`` metrics
 
     def __init__(self, config: CacheConfig):
         self.config = config
@@ -176,8 +198,14 @@ class _StackDistanceLRU:
             self.access_chunk(addrs, writes)
         return self.stats
 
-    def _simulate(self, addresses, writes) -> np.ndarray:
-        """Simulate a chunk; returns the per-access miss mask."""
+    def attribute_chunk(self, addresses, writes=None):
+        """Simulate a nonempty chunk; returns its miss mask and
+        :class:`Attribution`."""
+        return self._simulate(addresses, writes, attribute=True)
+
+    def _simulate(self, addresses, writes, attribute: bool = False):
+        """Simulate a chunk; returns the per-access miss mask (and the
+        chunk's :class:`Attribution` when ``attribute``)."""
         addrs, wr = _as_chunk(addresses, writes)
         n = len(addrs)
         if n == 0:
@@ -188,7 +216,7 @@ class _StackDistanceLRU:
         sets = self._set_indices(lines)
 
         # 1. Touched sets' residents first; a carried dirty bit acts as a
-        # write that stats never see.
+        # write that stats never see.  Write-through never dirties a line.
         touched_mask = np.zeros(self.config.num_sets, dtype=bool)
         touched_mask[sets] = True
         touched = np.flatnonzero(touched_mask)
@@ -196,7 +224,9 @@ class _StackDistanceLRU:
         all_sets = np.concatenate((np.repeat(touched, ways), sets))
         order = _stable_order(all_sets, 0, self._set_mask)
         s_lines = np.concatenate((self._tags[touched].ravel(), lines))[order]
-        s_dirty = np.concatenate((self._dirty[touched].ravel(), wr))[order]
+        s_dirty = np.concatenate(
+            (self._dirty[touched].ravel(), wr & self.config.write_back)
+        )[order]
 
         # 2. Run heads (a line determines its set, so lines alone compare).
         head = np.empty(len(order), dtype=bool)
@@ -272,16 +302,45 @@ class _StackDistanceLRU:
         misses = unsorted[m:]
 
         # 6. Cold misses: the chunk's distinct lines not seen before.
-        fresh = l_lines[first & real[by_line]]
-        self._accumulate(wr, misses, fresh)
-        if t0 is not None:
+        firsts = by_line[first & real[by_line]]  # sorted by line
+        new = self._accumulate(wr, misses, h_lines[firsts])
+        if t0 is not None and self.engine_label:
             record_chunk(
                 self.engine_label, n, int(np.count_nonzero(misses)),
                 time.perf_counter() - t0,
             )
-        return misses
+        if not attribute:
+            return misses
 
-    def _accumulate(self, wr, misses, fresh) -> None:
+        # Attribution.  ``at`` is each head's chunk position (negative for
+        # carried residents).
+        at = order[hidx] - m
+        first_touch = np.zeros(n, dtype=bool)
+        touch = at[firsts[new]]
+        first_touch[touch[touch >= 0]] = True
+        # Every miss evicts its set's LRU line, so a set's residencies end
+        # in the order of their last heads: the i-th to end pairs with the
+        # i-th miss, per set and so (sets being contiguous) chunk-wide.
+        ended = np.zeros(h_count, dtype=bool)
+        ended[by_line[ends]] = True
+        ended[resident] = False
+        ended = np.flatnonzero(ended)
+        evictor = np.full(h_count, -1, dtype=np.int64)
+        evictor[ended] = at[pos_miss & (at >= 0)]
+        # A miss on a line with an earlier head in the chunk: that head's
+        # residency ended inside the chunk, evicted by ``evictor``.
+        again = start & ~first
+        evicted_by = np.full(n, -1, dtype=np.int64)
+        evicted_by[at[by_line[again]]] = evictor[prev[again]]
+        victims = h_lines[ended]
+        real_victim = victims >= _EMPTY_LINE + self._tags.size
+        return misses, Attribution(
+            first_touch, evicted_by,
+            victims[real_victim], evictor[ended[real_victim]],
+        )
+
+    def _accumulate(self, wr, misses, fresh) -> np.ndarray:
+        """Count the chunk; returns which ``fresh`` lines are new."""
         st = self.stats
         n = len(wr)
         num_writes = int(np.count_nonzero(wr))
@@ -293,6 +352,8 @@ class _StackDistanceLRU:
         st.misses += num_misses
         st.write_misses += write_misses
         st.read_misses += num_misses - write_misses
+        if not self.config.write_back:
+            st.writebacks += num_writes  # write-through traffic
         # ``fresh`` is sorted and distinct; keep the lines not seen before.
         seen = self._seen
         at = np.searchsorted(seen, fresh)
@@ -302,6 +363,7 @@ class _StackDistanceLRU:
         if new.any():
             self._seen = np.insert(seen, at[new], fresh[new])
             st.cold_misses += int(np.count_nonzero(new))
+        return new
 
 
 class FastDirectMapped(_StackDistanceLRU):

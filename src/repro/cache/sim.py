@@ -2,10 +2,11 @@
 
 A straightforward, obviously-correct set-associative LRU simulator used as
 the ground truth for property-testing the fast engines and for small
-examples.  Write policy is write-allocate/write-back.
+examples.  It implements all four write policies (see :meth:`access`).
 
 For production trace volumes use :mod:`repro.cache.fastsim`, which is
-behaviourally identical (verified by tests) but processes numpy chunks.
+behaviourally identical (verified by tests) but processes numpy chunks;
+it serves every write-allocate cache, this class the rest.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class _Line:
 
 
 class ReferenceCache:
-    """Set-associative LRU cache, one access at a time."""
+    """Set-associative LRU cache, one access at a time, any write policy."""
 
     engine_label = "reference"
 

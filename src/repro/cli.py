@@ -512,7 +512,9 @@ def cmd_figure(args) -> int:
         **{f"fig{i}": getattr(experiments, f"fig{i}") for i in range(8, 18)},
     }
     if args.name not in modules:
-        raise SystemExit(f"unknown figure {args.name!r}; known: {sorted(modules)}")
+        raise ConfigError(
+            f"unknown figure {args.name!r}; known: {sorted(modules)}"
+        )
     module = modules[args.name]
     programs = tuple(args.programs) if args.programs else None
     if args.name == "summary":
@@ -662,6 +664,10 @@ def cmd_serve(args) -> int:
     if args.port < 0 or args.port > 65535:
         raise UsageError(f"--port {args.port}: not a TCP port")
     max_body_bytes = _parse_size(args.max_body, "--max-body")
+    if max_body_bytes < 1:
+        raise UsageError(
+            f"--max-body {args.max_body!r}: must be at least 1 byte"
+        )
     chaos = None
     if args.chaos:
         from repro.chaos import load_schedule

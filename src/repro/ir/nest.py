@@ -377,7 +377,7 @@ class BoundNest:
         suffix = [1] * depth
         for k in range(depth - 2, -1, -1):
             suffix[k] = suffix[k + 1] * trips[k + 1]
-        iters_per_block = max(1, chunk // columns)
+        iters_per_block = max(1, min(chunk // columns, flat_hi - flat_lo))
         full_writes = np.tile(self.flags, iters_per_block)
         transposed = np.ascontiguousarray(self.coeffs.T)  # (depth, columns)
         for start in range(flat_lo, flat_hi, iters_per_block):

@@ -40,6 +40,19 @@ class TestEngineSelection:
         with pytest.raises(SimulationError):
             FastDirectMapped(set_associative(1024, 4))
 
+    def test_write_through_selects_the_engine(self):
+        direct = make_simulator(CacheConfig(1024, 32, 1, write_back=False))
+        assoc = make_simulator(CacheConfig(1024, 32, 4, write_back=False))
+        assert isinstance(direct, FastDirectMapped)
+        assert isinstance(assoc, FastSetAssociative)
+
+    def test_write_no_allocate_selects_the_reference(self):
+        for write_back in (True, False):
+            config = CacheConfig(
+                1024, 32, 2, write_allocate=False, write_back=write_back
+            )
+            assert type(make_simulator(config)) is ReferenceCache
+
 
 class TestKnownSequences:
     def test_dm_conflict_sequence(self):

@@ -57,9 +57,14 @@ class TestNoWriteAllocate:
 
 class TestDispatch:
     def test_exotic_policy_uses_reference(self):
+        """Only write-no-allocate is exotic: the fast engine models
+        write-through, and a write miss that bypasses the cache needs
+        the reference simulator."""
         sim = make_simulator(_cfg(write_back=False))
-        assert isinstance(sim, ReferenceCache)
+        assert not isinstance(sim, ReferenceCache)
         sim = make_simulator(_cfg(write_allocate=False, write_back=False))
+        assert isinstance(sim, ReferenceCache)
+        sim = make_simulator(_cfg(write_allocate=False))
         assert isinstance(sim, ReferenceCache)
 
     def test_default_policy_uses_fast_engine(self):

@@ -150,9 +150,10 @@ class TestCommands:
         assert rc == 0
         assert "Figure 8" in out
 
-    def test_figure_unknown(self):
-        with pytest.raises(SystemExit):
-            main(["figure", "fig99"])
+    def test_figure_unknown(self, capsys):
+        assert main(["figure", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown figure 'fig99'")
 
     def test_unknown_heuristic(self, kernel_file, capsys):
         assert main(["pad", kernel_file, "--heuristic", "bogus"]) == 3

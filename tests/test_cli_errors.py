@@ -217,12 +217,15 @@ class TestUsageErrors:
             (["simulate", DOT, "--line", "3x"], "--line", "3x"),
             (["pad", DOT, "--cache", "1G"], "--cache", "1G"),
             (["serve", "--max-body", "64KB"], "--max-body", "64KB"),
+            (["serve", "--max-body", "0"], "--max-body", "0"),
+            (["serve", "--max-body", "-1"], "--max-body", "-1"),
             (["simulate", DOT, "--param", "N=abc"], "--param", "N=abc"),
             (["simulate", DOT, "--param", "N"], "--param", "N"),
             (["simulate", DOT, "--heuristic", "nosuch"],
              "--heuristic", "nosuch"),
         ],
-        ids=["cache", "line", "pad-cache", "max-body", "param-value",
+        ids=["cache", "line", "pad-cache", "max-body", "max-body-zero",
+             "max-body-negative", "param-value",
              "param-no-equals", "heuristic"],
     )
     def test_bad_flag_value_is_a_usage_error(self, argv, flag, value, capsys):

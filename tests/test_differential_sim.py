@@ -9,7 +9,11 @@ line sizes and write policies.  Every pair must produce
 * identical per-access miss masks, and
 * identical ``repro_sim_*`` metric counts (the engines instrument their
   chunks through the same :func:`record_chunk` choke point, so a metric
-  divergence means an engine lied about its work).
+  divergence means an engine lied about its work), and
+* on write-allocate caches, the engine's :class:`Attribution` (first
+  touches, and each eviction's victim and evicting access, which the
+  analytic predictor reads) equal to what diffing the reference cache's
+  resident lines around every access shows.
 
 The grid yields well over the required 200 trace/config pairs.  Targeted
 traces pin the engine's edge cases on top: 8/16-way multi-set caches,
@@ -26,7 +30,11 @@ import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import FastDirectMapped, FastSetAssociative, make_simulator
+from repro.cache.fastsim import (
+    FastDirectMapped,
+    FastSetAssociative,
+    make_simulator,
+)
 from repro.cache.sim import ReferenceCache
 from repro.extensions.xorcache import (
     XorDirectMapped,
@@ -48,6 +56,8 @@ CONFIGS = [
 ] + [
     CacheConfig(1024, 16, 1, write_allocate=False),
     CacheConfig(1024, 16, 1, write_back=False),
+    CacheConfig(1024, 16, 2, write_back=False),
+    CacheConfig(4096, 32, 4, write_back=False),
     CacheConfig(1024, 16, 2, write_allocate=False, write_back=False),
     CacheConfig(512, 32, 16),  # a single 16-way set: fully associative
     CacheConfig(4096, 16, 8),  # 32 sets of 8 ways
@@ -91,16 +101,74 @@ def make_trace(rng: np.random.Generator, config: CacheConfig, length: int):
     return addresses, writes
 
 
-def _run(sim, addresses, writes, bounds=None):
-    """Feed a trace in chunks: every CHUNK accesses, or at ``bounds``."""
+def _edges(addresses, bounds):
     if bounds is None:
         bounds = range(CHUNK, len(addresses), CHUNK)
-    edges = [0, *bounds, len(addresses)]
+    return [0, *bounds, len(addresses)]
+
+
+def _run(sim, addresses, writes, bounds=None):
+    """Feed a trace in chunks: every CHUNK accesses, or at ``bounds``."""
+    edges = _edges(addresses, bounds)
     masks = [
         sim.access_chunk(addresses[lo:hi], writes[lo:hi])
         for lo, hi in zip(edges, edges[1:])
     ]
     return np.concatenate(masks)
+
+
+def _reference_attribution(config, addresses, writes, bounds):
+    """Per chunk: first touches, per-miss evictor of the line's previous
+    residency, and (evicting position, victim) pairs, read off a
+    ReferenceCache by diffing its resident lines around each access."""
+    ref = ReferenceCache(config)
+    seen = set()
+    edges = _edges(addresses, bounds)
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        first = np.zeros(hi - lo, dtype=bool)
+        evicted_by = np.full(hi - lo, -1)
+        evictions = []
+        last_evictor = {}  # line -> position that last evicted it
+        for pos in range(lo, hi):
+            line = int(addresses[pos]) // config.line_bytes
+            before = ref.resident_lines()
+            if ref.access(int(addresses[pos]), bool(writes[pos])):
+                evicted_by[pos - lo] = last_evictor.get(line, -1)
+            for victim in before - ref.resident_lines():
+                evictions.append((pos - lo, victim))
+                last_evictor[victim] = pos - lo
+            first[pos - lo] = line not in seen
+            seen.add(line)
+        out.append((first, evicted_by, evictions))
+    return out
+
+
+def assert_attribution_matches(engine, config, addresses, writes, context,
+                               bounds=None, relabel=None):
+    """``engine.attribute_chunk`` agrees with the reference, chunk by chunk.
+
+    ``relabel`` maps the engine's line addresses to the reference's (the
+    XOR engines' placement expressed as modulo placement).
+    """
+    ref_addresses = addresses if relabel is None else relabel(addresses)
+    expected = _reference_attribution(config, ref_addresses, writes, bounds)
+    edges = _edges(addresses, bounds)
+    for (lo, hi), (first, evicted_by, evictions) in zip(
+        zip(edges, edges[1:]), expected
+    ):
+        _, got = engine.attribute_chunk(addresses[lo:hi], writes[lo:hi])
+        victims = got.victims
+        if relabel is not None:
+            victims = relabel(victims * config.line_bytes) // config.line_bytes
+        assert np.array_equal(got.first_touch, first), context
+        assert np.array_equal(got.evicted_by, evicted_by), context
+        pairs = sorted(zip(got.evictors.tolist(), victims.tolist()))
+        assert pairs == evictions, context
+        # eviction order holds within each line
+        for line in set(victims.tolist()):
+            at = got.evictors[victims == line]
+            assert np.all(np.diff(at) > 0), context
 
 
 def _sim_counter(name: str, engine: str) -> float:
@@ -118,11 +186,12 @@ def clean_runtime():
 
 
 def assert_matches_reference(fast, config, addresses, writes, context,
-                             bounds=None, ref_addresses=None):
-    """``fast`` and a ReferenceCache agree on masks, stats and metrics.
+                             bounds=None, relabel=None):
+    """``fast`` and a ReferenceCache agree on masks, stats and metrics,
+    and a fresh engine of the same kind on attribution.
 
-    ``ref_addresses`` feeds the reference a relabelled trace (the XOR
-    engines' placement expressed as modulo placement).
+    ``relabel`` feeds the reference a relabelled trace (the XOR engines'
+    placement expressed as modulo placement).
     """
     obs.reset()
     obs.enable()
@@ -130,18 +199,23 @@ def assert_matches_reference(fast, config, addresses, writes, context,
     fast_mask = _run(fast, addresses, writes, bounds)
     ref_mask = _run(
         reference,
-        addresses if ref_addresses is None else ref_addresses,
+        addresses if relabel is None else relabel(addresses),
         writes, bounds,
     )
     obs.disable()
+    if config.write_allocate:
+        assert_attribution_matches(
+            type(fast)(config), config, addresses, writes, context,
+            bounds, relabel,
+        )
 
     assert fast.stats == reference.stats, context
     assert np.array_equal(fast_mask, ref_mask), context
 
     label = fast.engine_label
     if label == "reference":
-        # Non-default write policies fall back to the reference
-        # engine, so both simulators record under the same label.
+        # Write-no-allocate caches fall back to the reference engine,
+        # so both simulators record under the same label.
         assert _sim_counter("repro_sim_accesses_total", label) == (
             2 * len(addresses)
         ), context
@@ -270,7 +344,7 @@ def test_xor_engines_match_reference(config):
         assert_matches_reference(
             make_xor_simulator(config), config, addresses, writes,
             f"config={_config_id(config)} seed={seed}",
-            ref_addresses=_xor_lines_as_modulo(config, addresses),
+            relabel=lambda addrs: _xor_lines_as_modulo(config, addrs),
         )
 
 

@@ -7,7 +7,8 @@ program it does not.  Three populations drive that contract:
 * 240 seeded ``random_case(seed, "affine")`` programs from
   :mod:`repro.bench.corpus` — exactly the analyzable class, paired with
   randomized cache geometries including set-associative and exotic
-  write policies;
+  write policies (the 27 write-no-allocate caches among them must bail
+  with ``write_policy``);
 * the same corpus's ``fuzz`` profile, which the JIT battery draws from
   and which also produces triangular/imperfect/indirect shapes — each
   case must either match the simulator or bail out;
@@ -22,7 +23,9 @@ import glob
 import pytest
 
 from repro import simulate_program
-from repro.analysis.predict import predict_misses
+from repro.analysis.predict import (
+    _Evaluator, _StmtUnit, classify_program, predict_misses,
+)
 from repro.bench.corpus import bailout_case, eligible_corpus, random_case
 from repro.bench.suites import get_spec
 from repro.cache.config import CacheConfig, base_cache
@@ -52,20 +55,42 @@ def assert_match_or_bailout(prog, layout, cache, label):
     return outcome
 
 
+def assert_write_policy_bailout(outcome, case):
+    """A write-no-allocate cache is refused, for that reason alone."""
+    assert not case.cache.write_allocate, case.name
+    assert [b.reason for b in outcome.bailouts] == ["write_policy"], (
+        f"{case.name}: {[b.render() for b in outcome.bailouts]}"
+    )
+
+
 class TestSeededAffineBattery:
-    """Every generated case is analyzable and byte-identical."""
+    """Every generated case on a write-allocate cache is analyzable and
+    byte-identical; every write-no-allocate case bails with
+    ``write_policy``."""
 
     @pytest.mark.parametrize("seed", AFFINE_SEEDS)
     def test_predicts_exactly(self, seed):
         case = random_case(seed, "affine")
         outcome = predict_misses(case.prog, case.layout, case.cache)
-        assert outcome.analyzable, (
-            f"{case.name}: {[b.render() for b in outcome.bailouts]}"
-        )
+        if not outcome.analyzable:
+            assert_write_policy_bailout(outcome, case)
+            return
+        assert case.cache.write_allocate, case.name
         expected = simulate_program(
             case.prog, case.layout, case.cache, jit="off"
         )
         assert outcome.prediction.stats == expected
+
+    def test_write_policy_bailouts_are_counted(self):
+        """The refused share is pinned, so coverage cannot shrink
+        silently: 213 of the 240 seeds predict, 27 are write-no-allocate."""
+        refused = [
+            seed for seed in AFFINE_SEEDS
+            if not random_case(seed, "affine").cache.write_allocate
+        ]
+        assert len(refused) == 27
+        assert len(AFFINE_SEEDS) - len(refused) == 213
+        assert [s for s in refused if s < 40] == [0, 7, 25, 32, 36, 38]
 
     def test_corpus_exercises_the_analyzable_class(self):
         """The battery covers the geometries the claim is about."""
@@ -85,11 +110,71 @@ class TestAgainstReferenceCacheDirectly:
     def test_access_for_access(self, seed):
         case = random_case(seed, "affine")
         outcome = predict_misses(case.prog, case.layout, case.cache)
+        if not case.cache.write_allocate:
+            assert_write_policy_bailout(outcome, case)
+            return
         assert outcome.analyzable
         addrs, writes = trace_addresses(case.prog, case.layout, jit="off")
         ref = ReferenceCache(case.cache)
         ref.access_chunk(addrs, writes)
         assert outcome.prediction.stats == ref.stats
+
+
+def reference_attribution(prog, layout, cache):
+    """Per-reference (accesses, misses, cold, self, cross), access by
+    access on a ReferenceCache: a miss is cold on a line never touched,
+    self when the line was last evicted within the same top-level loop
+    unit by an access to the same array, cross otherwise."""
+    units, meta, _ = classify_program(prog, layout)
+    stream = _Evaluator(units, cache, [m.array for m in meta], 0)._stream
+    ref = ReferenceCache(cache)
+    seen, evictor = set(), {}
+    counts = [[0] * 5 for _ in meta]
+    for unit in units:
+        if not isinstance(unit, _StmtUnit):
+            evictor.clear()
+        for addrs, writes, ids in stream(unit, {}):
+            for addr, write, rid in zip(addrs.tolist(), writes.tolist(),
+                                        ids.tolist()):
+                line = addr // cache.line_bytes
+                before = ref.resident_lines()
+                row = counts[rid]
+                row[0] += 1
+                if ref.access(addr, write):
+                    row[1] += 1
+                    own = evictor.get(line) == meta[rid].array
+                    row[2 if line not in seen else 3 if own else 4] += 1
+                for victim in before - ref.resident_lines():
+                    evictor[victim] = meta[rid].array
+                seen.add(line)
+    return counts
+
+
+class TestPerReferenceAttribution:
+    """Cold/self/cross per reference, folded or not, match a per-access
+    reference replay."""
+
+    @pytest.mark.parametrize("seed", AFFINE_SEEDS)
+    def test_matches_reference_replay(self, seed):
+        case = random_case(seed, "affine")
+        if not case.cache.write_allocate:
+            return
+        outcome = predict_misses(case.prog, case.layout, case.cache)
+        assert [
+            [r.accesses, r.misses, r.cold_misses, r.self_conflict_misses,
+             r.cross_conflict_misses]
+            for r in outcome.require().per_ref
+        ] == reference_attribution(case.prog, case.layout, case.cache)
+
+    def test_folding_is_exercised(self):
+        folded = [
+            seed for seed in AFFINE_SEEDS
+            if (case := random_case(seed, "affine")).cache.write_allocate
+            and predict_misses(
+                case.prog, case.layout, case.cache
+            ).require().folded_accesses
+        ]
+        assert len(folded) >= 20
 
 
 class TestPaperKernelRegressions:

@@ -17,6 +17,7 @@ from repro import simulate_program
 from repro.analysis.predict import (
     BAILOUT_REASONS,
     DEFAULT_BUDGET,
+    _fresh_stable,
     _horizon,
     classify_program,
     predict_misses,
@@ -134,6 +135,43 @@ class TestHorizon:
         assert sorted(fresh.tolist()) == [0, 6]
 
 
+class TestFreshStability:
+    """``_fresh_stable`` against a brute-force count: every forever-fresh
+    offset's translates over ``[start, stop)`` lie all inside or all
+    outside the lines seen so far (points plus fold progressions, of the
+    unit's stride or another)."""
+
+    @staticmethod
+    def brute_force(fresh, w, start, stop, seen, folds):
+        covered = set(seen.tolist())
+        for base, fw, count in folds:
+            covered.update(b + k * fw for b in base.tolist()
+                           for k in range(1, count + 1))
+        span = stop - start
+        hits = [sum(f + t * w in covered for t in range(start, stop))
+                for f in fresh.tolist()]
+        return all(h in (0, span) for h in hits)
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(5)
+        strides = [-3, -2, -1, 1, 2, 4]
+        for _ in range(400):
+            w = int(rng.choice(strides))
+            stop = int(rng.integers(2, 30))
+            start = int(rng.integers(0, stop))
+            fresh = np.unique(rng.integers(-20, 20, size=rng.integers(1, 5)))
+            seen = np.unique(rng.integers(-50, 60, size=rng.integers(0, 12)))
+            folds = tuple(
+                (np.unique(rng.integers(-30, 30, size=rng.integers(1, 4))),
+                 w if rng.random() < 0.7 else int(rng.choice(strides)),
+                 int(rng.integers(1, 15)))
+                for _ in range(rng.integers(0, 3))
+            )
+            assert _fresh_stable(fresh, w, start, stop, seen, folds) == (
+                self.brute_force(fresh, w, start, stop, seen, folds)
+            ), (w, start, stop, fresh, seen, folds)
+
+
 class TestProvenanceInvariants:
     """The per-reference decomposition must tile the totals exactly."""
 
@@ -211,6 +249,28 @@ class TestObsCounters:
         assert counters["repro_predict_requests_total"]["value"] == 1
         bail = counters["repro_predict_bailouts_total"]
         assert bail["labels"]["reason"] == "indirect"
+
+    def test_write_no_allocate_cache_bails_with_write_policy(self):
+        cache = CacheConfig(1024, 4, 1, write_allocate=False)
+        outcomes = []
+        counters = self._snapshot(
+            lambda: outcomes.append(predict_jacobi(32, cache))
+        )
+        assert [b.reason for b in outcomes[0].bailouts] == ["write_policy"]
+        assert "write_policy" in BAILOUT_REASONS
+        bail = counters["repro_predict_bailouts_total"]
+        assert bail["labels"]["reason"] == "write_policy"
+
+    def test_tier0_answer_simulates_nothing(self):
+        """Tier 0 replays on the LRU engine, but that is not simulation:
+        no ``repro_sim_*`` count moves."""
+        runner = Runner(predict="analytic")
+        counters = self._snapshot(
+            lambda: runner.run("jacobi", "original", CACHE, size=48)
+        )
+        assert runner.last_tier == "analytic"
+        assert counters["repro_predict_predictions_total"]["value"] == 1
+        assert not [name for name in counters if name.startswith("repro_sim")]
 
 
 class TestRunnerTier0:
