@@ -57,6 +57,7 @@ from repro.errors import (
     ConfigError,
     EngineError,
     GuardError,
+    GuardViolationError,
     LintError,
     OptimizeError,
     ReproError,
@@ -579,6 +580,11 @@ def cmd_run_all(args) -> int:
             f"failed: {outcome.key} after {outcome.attempts} attempts: "
             f"{outcome.error}",
             file=sys.stderr,
+        )
+    guarded = sum(outcome.guard_failed for outcome in report.failures)
+    if guarded:
+        raise GuardViolationError(
+            f"{guarded} run(s) failed a strict guard check"
         )
     return 1 if report.failures else 0
 

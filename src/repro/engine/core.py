@@ -22,7 +22,9 @@ status is ``ok``, ``degraded``, ``cached``, ``rolled_back`` or ``failed``.
 When :attr:`EngineConfig.guard` is set, workers run each transformation
 under :mod:`repro.guard`; the verdict rides back with the result, is
 re-journaled parent-side (``guard_violation`` / ``guard_rollback``
-events) and a rollback becomes the ``rolled_back`` terminal status.
+events) and a rollback becomes the ``rolled_back`` terminal status.  A
+strict-mode violation fails the run on its first attempt: neither a
+retry nor the reference fallback would change the verdict.
 
 :meth:`ExperimentEngine.execute` is the one dispatch loop: ``run_many``
 and the campaign coordinator (:mod:`repro.campaign.coordinator`) both
@@ -70,6 +72,7 @@ RELEASE_REASONS = {
     "crash": "WorkerCrashed",
     "timeout": "RunTimeout",
     "dispatch": "WorkerCrashed",
+    "guard": "GuardViolationError",
 }
 
 
@@ -107,6 +110,15 @@ class RunOutcome:
     @property
     def key(self) -> str:
         return request_key(self.request)
+
+    @property
+    def guard_failed(self) -> bool:
+        """True when a strict guard rejected this run's layout."""
+        prefix = RELEASE_REASONS["guard"] + ":"
+        return (
+            self.status == STATUS_FAILED
+            and (self.error or "").startswith(prefix)
+        )
 
 
 @dataclass
@@ -239,7 +251,8 @@ class ExperimentEngine:
         * ``retrying(task, delay)`` / ``degrading(task)`` — the ladder's
           next rung: the same simulator after ``delay`` seconds, or the
           reference simulator now;
-        * ``failed(task)`` — the ladder is exhausted (terminal);
+        * ``failed(task)`` — the ladder is exhausted, or a strict guard
+          rejected the layout, which no rung can change (terminal);
         * ``completed(task, status, stats, guard, tier)`` — a validated
           result (terminal); ``status`` is ``ok``, ``degraded`` or
           ``rolled_back``.
@@ -295,7 +308,12 @@ class ExperimentEngine:
             task.last_error = f"{RELEASE_REASONS[reason]}: {message}"
             ledger.released(task, reason)
             seq += 1
-            if task.attempts <= cfg.retries:
+            if reason == "guard":
+                # A strict guard verdict is final: a retry or the reference
+                # fallback would run the same checks on the same layout.
+                ledger.failed(task)
+                remaining -= 1
+            elif task.attempts <= cfg.retries:
                 delay = backoff(cfg, task)
                 ledger.retrying(task, delay)
                 heapq.heappush(delayed, (now + delay, seq, task))
@@ -347,8 +365,8 @@ class ExperimentEngine:
                 "wall-clock seconds each worker slot spent on tasks",
                 worker=str(worker.slot),
             )
-            if msg[0] == "error":
-                release(task, "error", str(msg[2]))
+            if msg[0] in ("error", "guard"):
+                release(task, msg[0], str(msg[2]))
                 return
             if len(msg) > 4 and msg[4] is not None:
                 try:

@@ -20,7 +20,8 @@ to the parent over a pipe:
   guard_report, tier)`` (``metrics`` is a registry snapshot or ``None``;
   ``guard_report`` is a :class:`~repro.guard.config.GuardReport` record
   or ``None``; ``tier`` says where the runner's answer came from, e.g.
-  ``"analytic"`` or ``"sim"``) or ``("error", task_id, message)``.
+  ``"analytic"`` or ``"sim"``), ``("guard", task_id, message)`` when a
+  strict guard rejected the layout, or ``("error", task_id, message)``.
 
 The checksum is computed *before* any injected corruption, so a mangled
 payload is detectable by the parent — exactly like a worker whose memory
@@ -36,6 +37,7 @@ import time
 
 from repro.engine.faults import InjectedFault, corrupt_layout
 from repro.engine.store import checksum
+from repro.errors import GuardViolationError
 from repro.guard import runtime as guard_runtime
 from repro.guard.config import GuardConfig
 from repro.obs import runtime as obs
@@ -146,6 +148,8 @@ def worker_main(conn) -> None:
             _send(conn, ("ok", task_id, payload, digest, metrics, report, tier))
         except MemoryError:  # pragma: no cover - needs a real OOM
             os._exit(OOM_EXIT_CODE)
+        except GuardViolationError as exc:
+            _send(conn, ("guard", task_id, str(exc)))
         except BaseException as exc:
             _send(conn, ("error", task_id, f"{type(exc).__name__}: {exc}"))
 

@@ -120,22 +120,13 @@ def check_transform(
             # Only a structurally sound layout can be interpreted; an
             # unsound one is already condemned and tracing it may crash.
             rt.emit_check("sanitizer")
-            try:
-                violations.extend(
-                    sanitize(
-                        prog, layout, base_layout,
-                        seed=seed, limit=config.sanitize_limit,
-                        reference_layout=reference_layout, jit=jit,
-                    )
+            violations.extend(
+                sanitize(
+                    prog, layout, base_layout,
+                    seed=seed, limit=config.sanitize_limit,
+                    reference_layout=reference_layout, jit=jit,
                 )
-            except Exception as exc:
-                violations.append(
-                    GuardViolation(
-                        "out_of_bounds", "sanitizer",
-                        f"trace interpretation failed: "
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
+            )
         for violation in violations:
             rt.emit_violation(violation, run_key)
         if violations:

@@ -27,13 +27,19 @@ layout the transformation *committed* (where the data actually lives),
 so any post-commit drift of the address metadata shows up as accesses to
 the wrong variable or the wrong cell.
 
-Cost is bounded by ``limit`` accesses per layout; traces longer than the
-limit are compared on their prefix (the compared prefix is reported).
+Cost and memory: the two traces advance in lockstep, one trace chunk at
+a time, and each pair of chunks is inverted and compared as it arrives,
+so at most one chunk of each trace is in flight — never two whole
+``limit``-access arrays.  Inverting a chunk is a ``searchsorted`` over
+the variable bases plus one gather per access; only variables whose
+dimensions were padded pay a mixed-radix decode.  Cost is bounded by
+``limit`` accesses per layout; traces longer than the limit are compared
+on their prefix (the compared prefix is reported).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +48,13 @@ from repro.ir.program import Program
 from repro.jit import make_interpreter
 from repro.layout.layout import MemoryLayout
 from repro.trace.env import DataEnv
+
+#: one inverted trace chunk: (ids, cells, writes, out_of_bounds,
+#: pad_touched, truncated)
+CellChunk = Tuple[np.ndarray, np.ndarray, np.ndarray, int, int, bool]
+
+#: the sentinel slot's end: no address lies below it
+_NOWHERE = np.iinfo(np.int64).min
 
 
 class _Inverter:
@@ -55,8 +68,8 @@ class _Inverter:
             base = layout.base(decl.name)
             size = layout.size_bytes(decl.name)
             if hasattr(decl, "dims"):  # array
-                padded = layout.dim_sizes(decl.name)
-                declared = decl.dim_sizes
+                padded = tuple(layout.dim_sizes(decl.name))
+                declared = tuple(decl.dim_sizes)
                 element = decl.element_size
             else:  # scalar: one cell
                 padded = declared = (1,)
@@ -64,8 +77,26 @@ class _Inverter:
             slots.append((base, base + size, index, element, padded, declared))
         slots.sort()
         self._bases = np.array([s[0] for s in slots], dtype=np.int64)
-        self._ends = np.array([s[1] for s in slots], dtype=np.int64)
-        self._slots = slots
+        # Per-slot tables for the one gather per access, indexed by the
+        # searchsorted position: entry 0 is a sentinel for addresses below
+        # every base (never inside), entry k + 1 is slot k.
+        self._ends = np.array([_NOWHERE] + [s[1] for s in slots], np.int64)
+        self._starts = np.array([0] + [s[0] for s in slots], np.int64)
+        self._ids = np.array([-1] + [s[2] for s in slots], np.int64)
+        elements = [1] + [s[3] for s in slots]
+        shifts = [element.bit_length() - 1 for element in elements]
+        if all(1 << k == element for k, element in zip(shifts, elements)):
+            # (addr - base) >> log2(element) is the floor division.
+            self._shifts, self._elements = np.array(shifts, np.int64), None
+        else:
+            self._shifts, self._elements = None, np.array(elements, np.int64)
+        # Without padding, size_bytes is element * prod(declared), so the
+        # mixed-radix decode of (addr - base) // element returns it as is.
+        self._padded = [
+            (slot, padded, declared)
+            for slot, (*_, padded, declared) in enumerate(slots, start=1)
+            if padded != declared
+        ]
 
     def invert(
         self, addrs: np.ndarray
@@ -75,20 +106,26 @@ class _Inverter:
         Out-of-bounds addresses get id/cell -1; pad-touched cells get
         cell -2 so any mismatch against a clean stream is detected.
         """
-        pos = np.searchsorted(self._bases, addrs, side="right") - 1
-        clipped = np.clip(pos, 0, len(self._bases) - 1)
-        inside = (pos >= 0) & (addrs < self._ends[clipped])
-        ids = np.full(len(addrs), -1, dtype=np.int64)
-        cells = np.full(len(addrs), -1, dtype=np.int64)
+        pos = np.searchsorted(self._bases, addrs, side="right")
+        inside = addrs < self._ends.take(pos)
+        ids = self._ids.take(pos)
+        cells = addrs - self._starts.take(pos)
+        if self._shifts is not None:
+            cells >>= self._shifts.take(pos)
+        else:
+            cells //= self._elements.take(pos)
+        out_of_bounds = len(addrs) - int(np.count_nonzero(inside))
+        if out_of_bounds:
+            outside = ~inside
+            ids[outside] = -1
+            cells[outside] = -1
+            pos[outside] = 0
         pad_touched = 0
-        for slot_index, (base, _end, decl_id, element, padded, declared) in (
-            enumerate(self._slots)
-        ):
-            mask = inside & (clipped == slot_index)
-            if not mask.any():
+        for slot, padded, declared in self._padded:
+            at = np.flatnonzero(pos == slot)
+            if not len(at):
                 continue
-            ids[mask] = decl_id
-            flat = (addrs[mask] - base) // element
+            flat = cells[at]
             canon = np.zeros(len(flat), dtype=np.int64)
             in_pad = np.zeros(len(flat), dtype=bool)
             declared_stride = 1
@@ -99,9 +136,40 @@ class _Inverter:
                 canon += coord * declared_stride
                 declared_stride *= decl_size
             canon[in_pad] = -2
-            pad_touched += int(in_pad.sum())
-            cells[mask] = canon
-        return ids, cells, int((~inside).sum()), pad_touched
+            pad_touched += int(np.count_nonzero(in_pad))
+            cells[at] = canon
+        return ids, cells, out_of_bounds, pad_touched
+
+
+def _cell_chunks(
+    prog: Program,
+    layout: MemoryLayout,
+    seed: int,
+    limit: int,
+    invert_layout: Optional[MemoryLayout] = None,
+    jit: str = "auto",
+) -> Iterator[CellChunk]:
+    """Inverted trace chunks, at most ``limit`` accesses in all.
+
+    The last chunk of a trace longer than ``limit`` is cut to fit and
+    flagged ``truncated``; the trace stops there.
+    """
+    inverter = _Inverter(prog, invert_layout or layout)
+    room = limit
+    interp = make_interpreter(prog, layout, DataEnv(seed=seed), jit=jit)
+    for addrs, writes in interp.trace():
+        truncated = len(addrs) > room
+        if truncated:
+            addrs = addrs[:room]
+            writes = writes[:room]
+        room -= len(addrs)
+        ids, cells, oob, touched = inverter.invert(
+            np.asarray(addrs, dtype=np.int64)
+        )
+        writes = np.asarray(writes, dtype=bool)
+        yield ids, cells, writes, oob, touched, truncated
+        if truncated:
+            return
 
 
 def cell_stream(
@@ -120,39 +188,54 @@ def cell_stream(
     cells, writes, out_of_bounds, pad_touched, truncated)`` with at most
     ``limit`` entries.
     """
-    inverter = _Inverter(prog, invert_layout or layout)
-    ids_parts: List[np.ndarray] = []
-    cell_parts: List[np.ndarray] = []
-    write_parts: List[np.ndarray] = []
-    oob = touched = 0
-    total = 0
-    truncated = False
-    interp = make_interpreter(prog, layout, DataEnv(seed=seed), jit=jit)
-    for addrs, writes in interp.trace():
-        if total + len(addrs) > limit:
-            addrs = addrs[: limit - total]
-            writes = writes[: limit - total]
-            truncated = True
-        ids, cells, chunk_oob, chunk_touched = inverter.invert(
-            np.asarray(addrs, dtype=np.int64)
-        )
-        ids_parts.append(ids)
-        cell_parts.append(cells)
-        write_parts.append(np.asarray(writes, dtype=bool))
-        oob += chunk_oob
-        touched += chunk_touched
-        total += len(addrs)
-        if truncated:
-            break
-    empty = np.empty(0, dtype=np.int64)
+    chunks = list(_cell_chunks(prog, layout, seed, limit, invert_layout, jit))
+    if not chunks:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty.astype(bool), 0, 0, False
+    ids, cells, writes, oob, touched, truncated = zip(*chunks)
     return (
-        np.concatenate(ids_parts) if ids_parts else empty,
-        np.concatenate(cell_parts) if cell_parts else empty,
-        np.concatenate(write_parts) if write_parts else empty.astype(bool),
-        oob,
-        touched,
-        truncated,
+        np.concatenate(ids), np.concatenate(cells), np.concatenate(writes),
+        sum(oob), sum(touched), any(truncated),
     )
+
+
+class _Cursor:
+    """One trace's chunk stream, consumed in slices, with running totals."""
+
+    def __init__(self, chunks: Iterator[CellChunk]):
+        self._chunks = chunks
+        self._chunk: Tuple[np.ndarray, ...] = (np.empty(0),)
+        self._at = 0
+        self.length = self.oob = self.touched = 0
+        self.truncated = False
+
+    def ready(self) -> int:
+        """Accesses buffered but not consumed (0 once the trace ends).
+
+        The next chunk is pulled only when the current one is used up.
+        """
+        while self._at == len(self._chunk[0]):
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                return 0
+            ids, cells, writes, oob, touched, truncated = chunk
+            self._chunk = (ids, cells, writes)
+            self._at = 0
+            self.length += len(ids)
+            self.oob += oob
+            self.touched += touched
+            self.truncated |= truncated
+        return len(self._chunk[0]) - self._at
+
+    def take(self, count: int) -> Tuple[np.ndarray, ...]:
+        """The next ``count`` (ids, cells, writes); ``count <= ready()``."""
+        start, self._at = self._at, self._at + count
+        return tuple(column[start:self._at] for column in self._chunk)
+
+    def drain(self) -> None:
+        """Consume the rest of the trace, keeping only the totals."""
+        while self.ready():
+            self._at = len(self._chunk[0])
 
 
 def sanitize(
@@ -170,66 +253,111 @@ def sanitize(
     (where the data actually lives); when given, the transformed trace
     is inverted with it instead of with ``layout``, catching consistent
     base/stride drift that self-inversion cannot see.  ``jit`` selects
-    the trace engine for both traces.
+    the trace engine for both traces.  A trace that cannot be
+    interpreted (an unsound layout may crash the tracer) is reported as
+    one ``out_of_bounds`` violation.
     """
+    try:
+        return _compare(
+            prog, layout, baseline_layout, seed, limit, reference_layout, jit
+        )
+    except Exception as exc:
+        return [
+            GuardViolation(
+                "out_of_bounds", "sanitizer",
+                f"trace interpretation failed: {type(exc).__name__}: {exc}",
+            )
+        ]
+
+
+def _compare(
+    prog: Program,
+    layout: MemoryLayout,
+    baseline_layout: MemoryLayout,
+    seed: int,
+    limit: int,
+    reference_layout: Optional[MemoryLayout],
+    jit: str,
+) -> List[GuardViolation]:
     violations: List[GuardViolation] = []
+    names = [decl.name for decl in prog.decls]
 
-    def flag(kind: str, message: str, variable: Optional[str] = None) -> None:
-        violations.append(
-            GuardViolation(kind, "sanitizer", message, variable=variable)
+    def flag(kind: str, message: str) -> None:
+        violations.append(GuardViolation(kind, "sanitizer", message))
+
+    def describe(i, c):
+        name = names[i] if 0 <= i < len(names) else "?"
+        return f"{name}[{c}]"
+
+    base = _Cursor(_cell_chunks(prog, baseline_layout, seed, limit, jit=jit))
+    moved = _Cursor(
+        _cell_chunks(
+            prog, layout, seed, limit, invert_layout=reference_layout, jit=jit
         )
-
-    base_ids, base_cells, base_writes, base_oob, base_touched, _ = cell_stream(
-        prog, baseline_layout, seed, limit, jit=jit
     )
-    ids, cells, writes, oob, touched, truncated = cell_stream(
-        prog, layout, seed, limit, invert_layout=reference_layout, jit=jit
-    )
+    compared = mismatches = 0
+    first_write: Optional[int] = None
+    first_cell: Optional[str] = None
+    while True:
+        count = min(base.ready(), moved.ready())
+        if not count:
+            break
+        base_ids, base_cells, base_writes = base.take(count)
+        ids, cells, writes = moved.take(count)
+        if first_write is None and not np.array_equal(writes, base_writes):
+            first_write = compared + int(np.argmax(writes != base_writes))
+        differ = ids != base_ids
+        differ |= cells != base_cells
+        found = int(np.count_nonzero(differ))
+        if found:
+            if first_cell is None:
+                at = int(np.argmax(differ))
+                first_cell = (
+                    f"first at access {compared + at}: baseline "
+                    f"{describe(int(base_ids[at]), int(base_cells[at]))} vs "
+                    f"transformed {describe(int(ids[at]), int(cells[at]))}"
+                )
+            mismatches += found
+        compared += count
+    base.drain()
+    moved.drain()
 
-    if oob:
+    if moved.oob:
         flag(
             "out_of_bounds",
-            f"{oob} traced address(es) outside every placed variable",
+            f"{moved.oob} traced address(es) outside every placed variable",
         )
-    if touched:
-        flag("pad_touched", f"{touched} traced address(es) landed in padding")
-    if base_oob or base_touched:  # baseline itself unsound: report loudly
+    if moved.touched:
+        flag(
+            "pad_touched",
+            f"{moved.touched} traced address(es) landed in padding",
+        )
+    if base.oob or base.touched:  # baseline itself unsound: report loudly
         flag(
             "out_of_bounds",
-            f"baseline layout unsound: {base_oob} out-of-bounds, "
-            f"{base_touched} in-padding accesses",
+            f"baseline layout unsound: {base.oob} out-of-bounds, "
+            f"{base.touched} in-padding accesses",
         )
 
-    if len(ids) != len(base_ids):
+    if moved.length != base.length:
         flag(
             "length_mismatch",
-            f"transformed trace has {len(ids)} accesses, "
-            f"baseline has {len(base_ids)}",
+            f"transformed trace has {moved.length} accesses, "
+            f"baseline has {base.length}",
         )
         return violations
 
-    if not np.array_equal(writes, base_writes):
-        first = int(np.nonzero(writes != base_writes)[0][0])
+    if first_write is not None:
         flag(
             "write_mismatch",
-            f"read/write pattern diverges at access {first}",
+            f"read/write pattern diverges at access {first_write}",
         )
 
-    mismatch = (ids != base_ids) | (cells != base_cells)
-    if mismatch.any():
-        first = int(np.nonzero(mismatch)[0][0])
-        decls = list(prog.decls)
-
-        def describe(i, c):
-            name = decls[i].name if 0 <= i < len(decls) else "?"
-            return f"{name}[{c}]"
-
+    if first_cell is not None:
         flag(
             "cell_mismatch",
-            f"{int(mismatch.sum())} of {len(ids)}"
-            f"{' (prefix)' if truncated else ''} accesses touch different "
-            f"cells; first at access {first}: baseline "
-            f"{describe(int(base_ids[first]), int(base_cells[first]))} vs "
-            f"transformed {describe(int(ids[first]), int(cells[first]))}",
+            f"{mismatches} of {moved.length}"
+            f"{' (prefix)' if moved.truncated else ''} accesses touch different "
+            f"cells; {first_cell}",
         )
     return violations

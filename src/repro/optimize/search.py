@@ -196,20 +196,10 @@ def vet_layout(
     if violations:
         return violations
     base = baseline_layout or original_layout(prog)
-    try:
-        violations.extend(
-            sanitize(prog, layout, base, limit=sanitize_limit,
-                     reference_layout=reference_layout)
-        )
-    except Exception as exc:  # an unsound layout may crash the tracer
-        from repro.guard.config import GuardViolation
-
-        violations.append(
-            GuardViolation(
-                "out_of_bounds", "sanitizer",
-                f"trace interpretation failed: {type(exc).__name__}: {exc}",
-            )
-        )
+    violations.extend(
+        sanitize(prog, layout, base, limit=sanitize_limit,
+                 reference_layout=reference_layout)
+    )
     return violations
 
 
