@@ -23,8 +23,9 @@ When :attr:`EngineConfig.guard` is set, workers run each transformation
 under :mod:`repro.guard`; the verdict rides back with the result, is
 re-journaled parent-side (``guard_violation`` / ``guard_rollback``
 events) and a rollback becomes the ``rolled_back`` terminal status.  A
-strict-mode violation fails the run on its first attempt: neither a
-retry nor the reference fallback would change the verdict.
+strict-mode violation fails the run on its first attempt: the engine
+treats a strict verdict as final and neither retries it nor falls back
+to the reference simulator, which would run the same guard again.
 
 :meth:`ExperimentEngine.execute` is the one dispatch loop: ``run_many``
 and the campaign coordinator (:mod:`repro.campaign.coordinator`) both
@@ -252,7 +253,7 @@ class ExperimentEngine:
           next rung: the same simulator after ``delay`` seconds, or the
           reference simulator now;
         * ``failed(task)`` — the ladder is exhausted, or a strict guard
-          rejected the layout, which no rung can change (terminal);
+          rejected the layout, a verdict treated as final (terminal);
         * ``completed(task, status, stats, guard, tier)`` — a validated
           result (terminal); ``status`` is ``ok``, ``degraded`` or
           ``rolled_back``.
@@ -309,8 +310,8 @@ class ExperimentEngine:
             ledger.released(task, reason)
             seq += 1
             if reason == "guard":
-                # A strict guard verdict is final: a retry or the reference
-                # fallback would run the same checks on the same layout.
+                # A strict guard verdict is treated as final: a retry or
+                # the reference fallback would run the same guard again.
                 ledger.failed(task)
                 remaining -= 1
             elif task.attempts <= cfg.retries:

@@ -83,13 +83,7 @@ class _Inverter:
         self._ends = np.array([_NOWHERE] + [s[1] for s in slots], np.int64)
         self._starts = np.array([0] + [s[0] for s in slots], np.int64)
         self._ids = np.array([-1] + [s[2] for s in slots], np.int64)
-        elements = [1] + [s[3] for s in slots]
-        shifts = [element.bit_length() - 1 for element in elements]
-        if all(1 << k == element for k, element in zip(shifts, elements)):
-            # (addr - base) >> log2(element) is the floor division.
-            self._shifts, self._elements = np.array(shifts, np.int64), None
-        else:
-            self._shifts, self._elements = None, np.array(elements, np.int64)
+        self._elements = np.array([1] + [s[3] for s in slots], np.int64)
         # Without padding, size_bytes is element * prod(declared), so the
         # mixed-radix decode of (addr - base) // element returns it as is.
         self._padded = [
@@ -110,10 +104,7 @@ class _Inverter:
         inside = addrs < self._ends.take(pos)
         ids = self._ids.take(pos)
         cells = addrs - self._starts.take(pos)
-        if self._shifts is not None:
-            cells >>= self._shifts.take(pos)
-        else:
-            cells //= self._elements.take(pos)
+        cells //= self._elements.take(pos)
         out_of_bounds = len(addrs) - int(np.count_nonzero(inside))
         if out_of_bounds:
             outside = ~inside
@@ -255,12 +246,15 @@ def sanitize(
     base/stride drift that self-inversion cannot see.  ``jit`` selects
     the trace engine for both traces.  A trace that cannot be
     interpreted (an unsound layout may crash the tracer) is reported as
-    one ``out_of_bounds`` violation.
+    one ``out_of_bounds`` violation; ``MemoryError`` is not a verdict on
+    the layout and propagates.
     """
     try:
         return _compare(
             prog, layout, baseline_layout, seed, limit, reference_layout, jit
         )
+    except MemoryError:
+        raise
     except Exception as exc:
         return [
             GuardViolation(

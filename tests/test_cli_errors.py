@@ -17,6 +17,7 @@ from repro.errors import (
     ConfigError,
     EngineError,
     FrontendError,
+    GuardViolationError,
     LowerError,
     ReproError,
     RunTimeout,
@@ -173,6 +174,21 @@ class TestRunAllCli:
         assert rc == 1
         assert "failed:" in captured.err
         assert "incomplete" in captured.out  # figures degrade to placeholders
+
+    def test_strict_guard_violation_exits_with_the_guard_code(
+        self, tmp_path, capsys
+    ):
+        # every transformed layout corrupted: each such run fails on its
+        # first attempt and run-all exits with the guard's code, not 1
+        chaos = schedule_file(tmp_path, {"seed": 7, "worker": {"layout": 1.0}})
+        rc = cli.main([
+            "run-all", "--figures", "fig8", "--programs", "jacobi", "dot",
+            "--jobs", "2", "--guard", "strict", "--chaos", chaos,
+        ])
+        err = capsys.readouterr().err
+        assert rc == cli.exit_code_for(GuardViolationError("x")) == 8
+        assert err.count("after 1 attempts: GuardViolationError: ") == 2
+        assert "error: 2 run(s) failed a strict guard check" in err
 
 
 class TestUsageErrors:

@@ -181,18 +181,25 @@ class TestEngineLayoutFaults:
 
     def test_strict_mode_fails_faulted_runs_loudly(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
-        outcomes = ExperimentEngine(self._config("strict")).run_many(
+        config = self._config("strict", retries=2, fallback=True)
+        outcomes = ExperimentEngine(config).run_many(
             self._requests(), journal=RunJournal(journal_path)
         )
         for outcome in outcomes:
             if outcome.request.heuristic == "original":
                 assert outcome.status == "ok"
+                assert not outcome.guard_failed
             else:
                 # zero corrupted layouts reach the simulator: the worker
                 # raises instead of producing stats
                 assert outcome.status == "failed"
                 assert "GuardViolationError" in outcome.error
                 assert outcome.stats is None
+                # the verdict is final: one attempt, no retry or fallback
+                assert outcome.attempts == 1
+                assert outcome.guard_failed
+        events = [e["event"] for e in read_journal(journal_path)]
+        assert "retry" not in events and "fallback" not in events
 
     def test_fault_choice_is_deterministic(self):
         picks = [

@@ -360,3 +360,13 @@ class TestTracerFailure:
         layout = original_layout(prog)
         assert sanitize(prog, layout, layout) == expected
         assert vet_layout(prog, layout) == expected
+
+    def test_memory_error_is_not_a_verdict(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(sanitizer_mod, "make_interpreter", exhausted)
+        prog = jacobi_program(32)
+        layout = original_layout(prog)
+        with pytest.raises(MemoryError):
+            sanitize(prog, layout, layout)
