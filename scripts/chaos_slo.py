@@ -216,7 +216,7 @@ def main() -> int:
     chaos = parse_schedule(schedule)
     print(f"chaos: {json.dumps(chaos.describe())}")
     server, thread, base = start_server(chaos)
-    supervisor = server.service._pool
+    pool = server.service._pool
     try:
         storm = Storm(base, reference, args.clients, args.requests,
                       args.seed)
@@ -224,8 +224,8 @@ def main() -> int:
 
         # mid-storm sabotage: wedge one warm worker (alive, silent)
         time.sleep(1.0)
-        with supervisor._lock:
-            idle = list(supervisor.pool._idle)
+        with pool._lock:
+            idle = list(pool._idle)
         if idle:
             os.kill(idle[0].proc.pid, signal.SIGSTOP)
             print(f"saboteur: SIGSTOPped worker pid {idle[0].proc.pid}")
@@ -253,15 +253,15 @@ def main() -> int:
             storm.check_record(body)
         server.service.config.brownout = False
 
-        # let the supervisor finish healing before the capacity check
+        # let the pool finish healing before the capacity check
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
-            health = supervisor.health()
+            health = pool.health()
             if (health["idle"] + health["leased"] == health["capacity"]
                     and health["healthy"]):
                 break
             time.sleep(0.2)
-        health = supervisor.health()
+        health = pool.health()
     finally:
         stop_server(server, thread)
 

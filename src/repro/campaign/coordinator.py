@@ -1,12 +1,14 @@
 """Lease-based campaign coordinator.
 
 The coordinator executes a :class:`~repro.campaign.plan.CampaignPlan`
-across engine worker subprocesses, either leased warm from a
-:class:`~repro.engine.pool.WorkerPool` or owned for the campaign's
-lifetime.  It differs from :class:`~repro.engine.core.ExperimentEngine`
-in what it promises: the engine promises one outcome per request in one
-process's lifetime; the coordinator promises a campaign that *survives
-its own death*.
+across engine worker subprocesses leased from a
+:class:`~repro.engine.pool.WorkerPool`: a caller's long-lived one
+(``repro serve`` keeps a separate pool for campaigns, for capacity
+isolation only), or a private one that lives for the campaign run and
+starts no heartbeat thread.  It differs from
+:class:`~repro.engine.core.ExperimentEngine` in what it promises: the
+engine promises one outcome per request in one process's lifetime; the
+coordinator promises a campaign that *survives its own death*.
 
 Mechanics (the lease loop itself is
 :meth:`~repro.engine.core.ExperimentEngine.execute`, shared with
@@ -144,8 +146,8 @@ class Coordinator:
     disk tier (``campaign.db``), the JSONL journal (``journal.jsonl``)
     and, after a successful run, the deterministic ``results.json``.
     ``pool`` is an optional :class:`~repro.engine.pool.WorkerPool` to
-    lease warm workers from; without one the coordinator owns its
-    workers for the campaign's duration.  ``faults`` is a
+    lease warm workers from; without one each run leases from a private
+    pool closed when the run ends.  ``faults`` is a
     :class:`~repro.chaos.ChaosSchedule` (the ``--chaos`` config): its
     worker plan reaches every lease and its ``ckill`` kills the
     coordinator after that many durable commits.

@@ -8,7 +8,8 @@ Submodules:
   (``run-all --cache-dir``, the Runner and campaigns);
 * :mod:`repro.engine.journal` — structured JSONL run journal;
 * :mod:`repro.engine.faults`  — deterministic fault injection;
-* :mod:`repro.engine.pool`    — long-lived warm worker pool (``repro serve``);
+* :mod:`repro.engine.pool`    — the one worker pool every sweep leases
+  from (warm workers, per-slot breakers, heartbeats for ``repro serve``);
 * :mod:`repro.engine.plan`    — figure planning / the ``run-all`` pipeline.
 
 ``core`` and ``plan`` are loaded lazily because they import the experiment

@@ -45,9 +45,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.cache.stats import CacheStats
 from repro.engine.faults import FaultPlan, choose_corruption, unit_interval
 from repro.engine.journal import NullJournal
-from repro.engine.pool import WorkerPool
+from repro.engine.pool import WorkerPool, _Worker
 from repro.engine.store import checksum
-from repro.engine.worker import worker_main
 from repro.guard.config import GuardConfig
 from repro.obs import runtime as obs
 from repro.experiments.runner import (
@@ -140,53 +139,20 @@ class Task:
     last_error: Optional[str] = None
 
 
-class _Worker:
-    """One subprocess plus its pipe and current assignment."""
-
-    def __init__(self, ctx, slot: int = 0):
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=worker_main, args=(child,), daemon=True)
-        self.proc.start()
-        child.close()
-        self.task: Optional[Task] = None
-        self.deadline = float("inf")
-        self.slot = slot  # stable identity across replacements
-
-    def kill(self) -> None:
-        try:
-            self.proc.kill()
-            self.proc.join(5)
-        except (OSError, ValueError):  # pragma: no cover - already gone
-            pass
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def stop(self) -> None:
-        """Polite shutdown for an idle worker."""
-        try:
-            self.conn.send(("stop",))
-            self.proc.join(2)
-        except (OSError, ValueError):
-            pass
-        if self.proc.is_alive():  # pragma: no cover - stubborn worker
-            self.kill()
-        else:
-            try:
-                self.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-
 class ExperimentEngine:
     """Run simulation requests in parallel, surviving worker failure.
 
-    ``pool`` is an optional :class:`~repro.engine.pool.WorkerPool`: with
-    one, workers are leased warm for each sweep and released back alive
-    when it finishes, so a long-lived caller (``repro serve``) pays the
-    subprocess spawn cost once, not per micro-batch.  Without one, each
-    sweep leases from a private pool that it closes when it ends.
+    ``pool`` is an optional :class:`~repro.engine.pool.WorkerPool`, the
+    one pool every caller leases from.  With one, workers are leased warm
+    for each sweep and released back alive when it finishes, so a
+    long-lived caller (``repro serve``, whose pool also runs heartbeats)
+    pays the subprocess spawn cost once, not per micro-batch.  Without
+    one, each sweep leases from a private pool that starts no heartbeat
+    thread and is closed when the sweep ends.  A worker that crashes,
+    times out or cannot be reached mid-sweep is swapped in place for a
+    fresh one in the same slot
+    (:meth:`~repro.engine.pool.WorkerPool.replace`); the slot's breaker
+    hears only how the lease ended, at release.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, pool=None):
@@ -270,7 +236,6 @@ class ExperimentEngine:
         pool = self.pool
         if pool is None:
             pool = stack.enter_context(WorkerPool(count))
-        ctx = pool.ctx
         workers = stack.enter_context(pool.leased(count))
         now = time.monotonic()
         for task in tasks:
@@ -330,8 +295,7 @@ class ExperimentEngine:
 
         def replace(worker: _Worker, reason: str, message: str) -> None:
             task = worker.task
-            worker.kill()
-            workers[workers.index(worker)] = _Worker(ctx, slot=worker.slot)
+            workers[workers.index(worker)] = pool.replace(worker)
             release(task, reason, message)
 
         def died(worker: _Worker) -> str:

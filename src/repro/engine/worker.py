@@ -13,9 +13,9 @@ to the parent over a pipe:
   :class:`~repro.guard.config.GuardConfig` record or ``None``, ``jit``
   is the trace-engine policy (default ``"auto"``) and ``tier`` the
   analytic tier-0 policy (default ``"sim"``; older parents may omit
-  trailing fields).  A ``ping`` is the pool supervisor's heartbeat
-  (:mod:`repro.resilience`): a live, unwedged worker echoes
-  ``("pong", token)`` immediately.
+  trailing fields).  A ``ping`` is the worker pool's heartbeat
+  (:meth:`repro.engine.pool.WorkerPool.sweep`): a live, unwedged worker
+  echoes ``("pong", token)`` immediately.
 * worker -> parent: ``("ok", task_id, stats_payload, checksum, metrics,
   guard_report, tier)`` (``metrics`` is a registry snapshot or ``None``;
   ``guard_report`` is a :class:`~repro.guard.config.GuardReport` record

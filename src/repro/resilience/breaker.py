@@ -1,8 +1,8 @@
-"""Per-slot circuit breaker for the supervised worker pool.
+"""Per-slot circuit breaker for the worker pool.
 
-A breaker guards one *logical worker slot* (see
-:class:`~repro.resilience.supervisor.PoolSupervisor`).  It is a plain
-three-state machine:
+A breaker guards one *logical worker slot* of
+:class:`~repro.engine.pool.WorkerPool`.  It is a plain three-state
+machine:
 
 ``closed``
     Normal operation.  Failures accumulate; reaching
@@ -60,8 +60,8 @@ class BreakerPolicy:
 class CircuitBreaker:
     """closed / open / half-open breaker with exponential cooldown.
 
-    Not thread-safe on its own — the supervisor serialises access under
-    its pool lock.
+    Not thread-safe on its own — the pool serialises access under its
+    lock.
     """
 
     def __init__(self, policy: BreakerPolicy = BreakerPolicy()):

@@ -39,21 +39,23 @@ with ``degraded: true`` and an ``error_bound_pct``); past
 interactive pad/lint stays full fidelity.  The 429 checks run before
 the memo lookup, the degrade decision after it, so an exact answer the
 memo holds always beats an estimate.  The same degraded path engages
-under forced ``--brownout``, when the
-:class:`~repro.resilience.PoolSupervisor` — which wraps the worker
-pool with heartbeat wedge-detection, bounded respawn and per-slot
-circuit breakers — reports unhealthy, or when a fully quarantined pool
-refuses a lease mid-dispatch.  ``repro_serve_degraded_total`` counts
-only answers that actually carry an estimate.  Per-request deadlines
-propagate into each engine dispatch as a tightened engine timeout.
+under forced ``--brownout``, when the engine's
+:class:`~repro.engine.pool.WorkerPool` — whose heartbeat thread this
+service starts, adding wedge detection and bounded respawn to its
+per-slot circuit breakers — reports unhealthy, or when a fully
+quarantined pool refuses a lease mid-dispatch.
+``repro_serve_degraded_total`` counts only answers that actually carry
+an estimate.  Per-request deadlines propagate into each engine dispatch
+as a tightened engine timeout.
 
 Threads: the runner's memo is read on the HTTP handler threads and
 written by the batcher, so one lock guards every runner memo lookup and
 prime (the batcher does not hold it during ``run_many``); the engine
-pool is touched only by the batcher thread; the per-source simulate
-memo has its own lock.  Client timeouts abandon the job (the waiter
-gets :class:`~repro.errors.RunTimeout` → HTTP 504); an abandoned job
-still in the queue is skipped, one already dispatched to the engine
+pool is leased only by the batcher thread, and its own lock keeps its
+heartbeat thread and the health probes out of the way; the per-source
+simulate memo has its own lock.  Client timeouts abandon the job (the
+waiter gets :class:`~repro.errors.RunTimeout` → HTTP 504); an abandoned
+job still in the queue is skipped, one already dispatched to the engine
 finishes and warms the memo for the retry.
 """
 
@@ -91,7 +93,7 @@ class ServeConfig:
     campaign_jobs: int = 2         # worker subprocesses per campaign
     campaign_backlog: int = 4      # queued campaigns before 409
     brownout: bool = False         # force degraded simulate answers
-    heartbeat_s: float = 0.5       # pool supervisor ping interval
+    heartbeat_s: float = 0.5       # engine pool heartbeat interval
     # admission ladder: fractions of queue_depth where degradation starts
     brownout_fraction: float = 0.75  # simulate-class answers degrade
     shed_fraction: float = 0.9       # bulk (priority 3) requests get 429
@@ -178,7 +180,6 @@ class AnalysisService:
             return
         from repro.engine.core import EngineConfig, ExperimentEngine
         from repro.engine.pool import WorkerPool
-        from repro.resilience.supervisor import PoolSupervisor
 
         cfg = self.config
         chaos = cfg.chaos
@@ -189,8 +190,8 @@ class AnalysisService:
                 from repro.chaos import clock
 
                 clock.set_skew(chaos.serve.clock_skew_s)
-        self._pool = PoolSupervisor(
-            WorkerPool(jobs=cfg.engine_jobs), heartbeat_s=cfg.heartbeat_s
+        self._pool = WorkerPool(
+            jobs=cfg.engine_jobs, heartbeat_s=cfg.heartbeat_s
         )
         self._pool.warm()
         self._pool.start()
@@ -346,9 +347,7 @@ class AnalysisService:
             ),
         }
         resilience = (
-            pool.health()
-            if pool is not None and hasattr(pool, "health")
-            else {"supervised": False}
+            pool.health() if pool is not None else {"supervised": False}
         )
         brownout = self._started and (
             self._brownout() or self._ladder_rung(queued) >= 1
@@ -447,10 +446,7 @@ class AnalysisService:
         """Forced by config, or the engine pool is too sick to simulate."""
         if self.config.brownout:
             return True
-        pool = self._pool
-        if pool is not None and hasattr(pool, "health"):
-            return not pool.health()["healthy"]
-        return False
+        return self._pool is not None and not self._pool.healthy
 
     # -- internals ----------------------------------------------------------
 

@@ -4,9 +4,11 @@
 queue — a campaign is minutes of work, not a 30-second request — and
 land here instead.  The :class:`CampaignManager` runs campaigns
 **serially** on one executor thread against its own small
-:class:`~repro.engine.pool.WorkerPool` (the pool is single-owner by
-design, so the batcher's pool is never shared), writing each campaign's
-durable state under ``<root>/<campaign_id>/``.
+:class:`~repro.engine.pool.WorkerPool` — a separate pool only so that a
+long campaign cannot take the batcher's workers; the pool class is
+thread-safe, so :meth:`CampaignManager.stop` may close it from another
+thread under the pool's lock — writing each campaign's durable state
+under ``<root>/<campaign_id>/``.
 
 Submission is idempotent by construction: the campaign id is the
 content address of the spec, so re-POSTing the same spec attaches to

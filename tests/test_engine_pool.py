@@ -1,10 +1,19 @@
-"""The warm worker pool (repro.engine.pool) and its engine integration."""
+"""The one worker pool (repro.engine.pool) and its engine integration."""
+
+import threading
 
 import pytest
 
+from repro import cli
+from repro.campaign.coordinator import Coordinator
+from repro.campaign.plan import compile_plan
+from repro.campaign.spec import parse_spec
+from repro.chaos import clock
 from repro.engine import EngineConfig, ExperimentEngine, WorkerPool
+from repro.engine import pool as pool_module
 from repro.errors import EngineError
 from repro.experiments.runner import DEFAULT_RUNNER
+from repro.resilience import BreakerPolicy
 
 FAST = EngineConfig(jobs=2, timeout=120, retries=0, backoff_base=0)
 
@@ -78,7 +87,7 @@ class TestWorkerPool:
         with WorkerPool(jobs=4) as pool:
             pool.warm(2)
 
-            def failing_spawn():
+            def failing_spawn(slot):
                 raise OSError("fork failed")
 
             pool._spawn = failing_spawn
@@ -157,3 +166,97 @@ class TestLeasedContextManager:
             [fresh] = pool.lease(1)
             assert fresh.proc.pid != old_pid
             pool.release([fresh])
+
+
+class TestLeaseBySlot:
+    def test_half_open_probe_goes_out_with_its_slot(self, monkeypatch):
+        # regression: lease used to count capacity by asking every slot's
+        # breaker, which spent a half-open slot's one probe on leases
+        # that handed out another slot's worker; the slot never heard
+        # back and the pool stayed a worker short for good
+        monkeypatch.setattr(
+            pool_module, "BREAKER_POLICY",
+            BreakerPolicy(failure_threshold=1, cooldown_s=30.0),
+        )
+        with WorkerPool(jobs=2) as pool:
+            workers = pool.lease(2)
+            [victim] = [w for w in workers if w.slot == 0]
+            victim.proc.kill()
+            victim.proc.join(timeout=10)
+            pool.release(workers)
+            assert pool.health()["breakers"]["0"]["state"] == "open"
+            try:
+                clock.set_skew(31.0)  # slot 0's cooldown has elapsed
+                for _ in range(4):
+                    leased = pool.lease(1)
+                    assert [w.slot for w in leased] == [1]
+                    pool.release(leased)
+                leased = pool.lease(2)
+                assert sorted(w.slot for w in leased) == [0, 1]
+                pool.release(leased)
+            finally:
+                clock.clear()
+            health = pool.health()
+            assert health["breakers"]["0"]["state"] == "closed"
+            assert health["idle"] == 2
+
+    def test_replace_keeps_the_slot_and_skips_the_breaker(self, monkeypatch):
+        monkeypatch.setattr(
+            pool_module, "BREAKER_POLICY",
+            BreakerPolicy(failure_threshold=1, cooldown_s=60.0),
+        )
+        with WorkerPool(jobs=1) as pool:
+            workers = pool.lease(1)
+            old = workers[0]
+            workers[0] = pool.replace(old)
+            assert not old.proc.is_alive()
+            assert workers[0].slot == old.slot
+            assert workers[0].proc.is_alive()
+            assert pool.leased_count == 1
+            pool.release(workers)
+            assert pool.health()["breakers_open"] == 0
+            assert pool.idle_count == 1
+
+
+class TestNoHeartbeatThread:
+    """Only ``start()`` runs a thread; one-shot sweeps never call it."""
+
+    @pytest.fixture
+    def threads_at_release(self, monkeypatch):
+        seen = []
+        release = WorkerPool.release
+
+        def spy(pool, workers):
+            seen.append({t.name for t in threading.enumerate()})
+            release(pool, workers)
+
+        monkeypatch.setattr(WorkerPool, "release", spy)
+        return seen
+
+    def test_run_all_sweep(self, tmp_path, capsys, threads_at_release):
+        rc = cli.main([
+            "run-all", "--figures", "fig9", "--programs", "dot",
+            "--jobs", "2", "--cache-dir", str(tmp_path),
+        ])
+        assert rc == 0
+        assert threads_at_release
+        assert all("pool-supervisor" not in t for t in threads_at_release)
+
+    def test_coordinator_run(self, tmp_path, threads_at_release):
+        plan = compile_plan(parse_spec({
+            "name": "threads",
+            "benchmarks": ["dot"],
+            "heuristics": ["pad"],
+            "caches": [{"size": "8K", "line": 32}],
+            "policy": {"backoff_base_s": 0.0, "timeout_s": 30.0},
+        }))
+        Coordinator(plan, tmp_path, jobs=2).run()
+        assert threads_at_release
+        assert all("pool-supervisor" not in t for t in threads_at_release)
+
+    def test_started_pool_is_seen(self, threads_at_release):
+        # the spy is not blind: a started pool's thread shows up
+        with WorkerPool(jobs=1, heartbeat_s=60.0) as pool:
+            pool.start()
+            pool.release(pool.lease(1))
+        assert "pool-supervisor" in threads_at_release[-1]

@@ -1,4 +1,4 @@
-"""Self-healing pool machinery: breaker, supervisor, degraded answers."""
+"""Self-healing machinery: breaker, pool supervision, degraded answers."""
 
 import os
 import signal
@@ -7,13 +7,13 @@ import pytest
 
 from repro.chaos import clock
 from repro.engine import EngineConfig, ExperimentEngine, WorkerPool
+from repro.engine import pool as pool_module
 from repro.errors import EngineError
 from repro.experiments.runner import DEFAULT_RUNNER
 from repro.obs import runtime as obs
 from repro.resilience import (
     BreakerPolicy,
     CircuitBreaker,
-    PoolSupervisor,
     degraded_run_record,
     degraded_simulate_source,
 )
@@ -23,10 +23,11 @@ pytestmark = [pytest.mark.engine]
 FAST = EngineConfig(jobs=2, timeout=120, retries=0, backoff_base=0)
 
 
-def make_supervisor(jobs=2, **kwargs):
-    kwargs.setdefault("heartbeat_s", 0.2)
-    kwargs.setdefault("ping_timeout_s", 2.0)
-    return PoolSupervisor(WorkerPool(jobs=jobs), **kwargs)
+def make_pool(monkeypatch, jobs=2, heartbeat_s=0.2, **constants):
+    """A pool with module constants (``PING_TIMEOUT_S=...``) patched."""
+    for name, value in constants.items():
+        monkeypatch.setattr(pool_module, name, value)
+    return WorkerPool(jobs=jobs, heartbeat_s=heartbeat_s)
 
 
 class TestCircuitBreaker:
@@ -95,23 +96,25 @@ class TestCircuitBreaker:
 
 
 class TestSupervisorHeartbeat:
-    def test_clean_sweep_pings_every_idle_worker(self):
-        with make_supervisor() as sup:
-            sup.warm()
-            report = sup.sweep()
+    def test_clean_sweep_pings_every_idle_worker(self, monkeypatch):
+        with make_pool(monkeypatch) as pool:
+            pool.warm()
+            report = pool.sweep()
             assert report == {"pinged": 2, "wedged": 0, "dead": 0,
                               "respawned": 0}
-            assert sup.idle_count == 2
+            assert pool.idle_count == 2
 
-    def test_wedged_worker_detected_and_respawned_in_one_sweep(self):
+    def test_wedged_worker_detected_and_respawned_in_one_sweep(
+        self, monkeypatch
+    ):
         obs.enable()
         obs.reset()
-        with make_supervisor(ping_timeout_s=0.5) as sup:
-            sup.warm()
-            victim = sup.pool._idle[0]
+        with make_pool(monkeypatch, PING_TIMEOUT_S=0.5) as pool:
+            pool.warm()
+            victim = pool._idle[0]
             os.kill(victim.proc.pid, signal.SIGSTOP)  # alive but wedged
             try:
-                report = sup.sweep()
+                report = pool.sweep()
             finally:
                 try:
                     os.kill(victim.proc.pid, signal.SIGCONT)
@@ -119,8 +122,8 @@ class TestSupervisorHeartbeat:
                     pass
             assert report["wedged"] == 1
             assert report["respawned"] == 1
-            assert sup.idle_count == 2  # capacity restored immediately
-            health = sup.health()
+            assert pool.idle_count == 2  # capacity restored immediately
+            health = pool.health()
             assert health["wedged_total"] == 1
             assert health["respawns_total"] == 1
             # the proof the SLO gate relies on: the metrics moved
@@ -128,89 +131,89 @@ class TestSupervisorHeartbeat:
             assert "repro_resilience_wedged_total" in names
             assert "repro_resilience_respawns_total" in names
 
-    def test_dead_worker_culled_and_replaced(self):
-        with make_supervisor() as sup:
-            sup.warm()
-            victim = sup.pool._idle[0]
+    def test_dead_worker_culled_and_replaced(self, monkeypatch):
+        with make_pool(monkeypatch) as pool:
+            pool.warm()
+            victim = pool._idle[0]
             victim.proc.kill()
             victim.proc.join(timeout=10)
-            report = sup.sweep()
+            report = pool.sweep()
             assert report["dead"] == 1
             assert report["respawned"] == 1
-            assert sup.idle_count == 2
+            assert pool.idle_count == 2
 
-    def test_respawn_budget_bounds_a_crash_loop(self):
-        with make_supervisor(jobs=1, max_respawns=2,
-                             respawn_backoff_s=0.0) as sup:
-            sup.warm()
+    def test_respawn_budget_bounds_a_crash_loop(self, monkeypatch):
+        with make_pool(monkeypatch, jobs=1, MAX_RESPAWNS=2,
+                       RESPAWN_BACKOFF_S=0.0) as pool:
+            pool.warm()
             for _ in range(2):
-                sup.pool._idle[0].proc.kill()
-                sup.pool._idle[0].proc.join(timeout=10)
-                sup.sweep()
-            assert sup.health()["respawn_budget"] == 0
-            assert not sup.health()["healthy"]
+                pool._idle[0].proc.kill()
+                pool._idle[0].proc.join(timeout=10)
+                pool.sweep()
+            assert pool.health()["respawn_budget"] == 0
+            assert not pool.health()["healthy"]
             # budget refills one credit per clean sweep: self-recovery
-            sup.sweep()
-            assert sup.health()["respawn_budget"] == 1
-            assert sup.health()["healthy"]
+            pool.sweep()
+            assert pool.health()["respawn_budget"] == 1
+            assert pool.health()["healthy"]
 
-    def test_background_thread_sweeps(self):
+    def test_background_thread_sweeps(self, monkeypatch):
         import time
 
-        with make_supervisor(heartbeat_s=0.05) as sup:
-            sup.warm()
-            sup.start()
+        with make_pool(monkeypatch, heartbeat_s=0.05) as pool:
+            pool.warm()
+            pool.start()
             deadline = time.monotonic() + 5
-            while sup.health()["sweeps"] == 0 and time.monotonic() < deadline:
+            while pool.health()["sweeps"] == 0 and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert sup.health()["sweeps"] > 0
+            assert pool.health()["sweeps"] > 0
 
-    def test_heartbeat_leaves_no_stale_pong_behind(self):
+    def test_heartbeat_leaves_no_stale_pong_behind(self, monkeypatch):
         # a sweep immediately followed by a real engine dispatch must not
         # desync the worker pipes
-        with make_supervisor() as sup:
-            sup.warm()
-            sup.sweep()
-            engine = ExperimentEngine(FAST, pool=sup)
+        with make_pool(monkeypatch) as pool:
+            pool.warm()
+            pool.sweep()
+            engine = ExperimentEngine(FAST, pool=pool)
             request = DEFAULT_RUNNER.request_for("mult", "original", size=24)
             assert engine.run_many([request])[0].status == "ok"
 
 
 class TestSupervisorBreakers:
-    def test_release_feedback_trips_a_slot(self):
+    def test_release_feedback_trips_a_slot(self, monkeypatch):
         policy = BreakerPolicy(failure_threshold=1, cooldown_s=60.0)
-        with make_supervisor(jobs=1, breaker_policy=policy) as sup:
-            [worker] = sup.lease(1)
+        with make_pool(monkeypatch, jobs=1, BREAKER_POLICY=policy) as pool:
+            [worker] = pool.lease(1)
             worker.proc.kill()
             worker.proc.join(timeout=10)
-            sup.release([worker])  # dead at release = breaker failure
-            health = sup.health()
+            pool.release([worker])  # dead at release = breaker failure
+            health = pool.health()
             assert health["breakers_open"] == 1
             assert not health["healthy"]
             with pytest.raises(EngineError, match="quarantined"):
-                sup.lease(1)
+                pool.lease(1)
 
-    def test_half_open_probe_recovers_the_slot(self):
+    def test_half_open_probe_recovers_the_slot(self, monkeypatch):
         policy = BreakerPolicy(failure_threshold=1, cooldown_s=30.0)
-        with make_supervisor(jobs=1, breaker_policy=policy) as sup:
-            [worker] = sup.lease(1)
+        with make_pool(monkeypatch, jobs=1, BREAKER_POLICY=policy) as pool:
+            [worker] = pool.lease(1)
             worker.proc.kill()
             worker.proc.join(timeout=10)
-            sup.release([worker])
+            pool.release([worker])
             try:
                 clock.set_skew(31.0)  # cooldown elapses instantly
-                leased = sup.lease(1)  # the half-open probe
-                sup.release(leased)    # clean release closes the breaker
+                leased = pool.lease(1)  # the half-open probe
+                pool.release(leased)    # clean release closes the breaker
             finally:
                 clock.clear()
-            assert sup.health()["breakers_open"] == 0
-            assert sup.health()["healthy"]
+            assert pool.health()["breakers_open"] == 0
+            assert pool.health()["healthy"]
 
-    def test_clean_release_records_success(self):
-        with make_supervisor(jobs=1) as sup:
-            with sup.leased(1):
+    def test_clean_release_records_success(self, monkeypatch):
+        with make_pool(monkeypatch, jobs=1) as pool:
+            with pool.leased(1):
                 pass
-            assert sup.health()["breakers_open"] == 0
+            assert pool.health()["breakers_open"] == 0
 
 
 class TestDegradedAnswers:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.chaos import parse_schedule
 from repro.errors import QueueFullError
-from repro.resilience.breaker import BreakerPolicy
+from repro.resilience.breaker import BreakerPolicy, CircuitBreaker
 from repro.serve.batching import AnalysisService, ServeConfig
 from repro.serve.server import create_server
 
@@ -281,10 +281,9 @@ class TestProbesUnderFailure:
         with serving(config) as server:
             service = server.service
             # trip every breaker: one slot, threshold 1
-            service._pool._breaker_policy = BreakerPolicy(
+            service._pool._breakers[:] = [CircuitBreaker(BreakerPolicy(
                 failure_threshold=1, cooldown_s=3600.0
-            )
-            service._pool._breakers.clear()
+            ))]
             [worker] = service._pool.lease(1)
             worker.proc.kill()
             worker.proc.join(timeout=10)
