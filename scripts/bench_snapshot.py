@@ -14,9 +14,10 @@ perf paper trail that can be diffed:
    :class:`~repro.experiments.runner.Runner` backed by the campaign's
    disk tier, twice: the repeat pass measures the in-memory memo tier.
 
-The snapshot also embeds the relevant ``repro_campaign_*`` and
-``repro_runner_memo_hits_total`` counters from the metrics registry so
-hit-rate regressions show up alongside throughput ones.
+The snapshot also embeds the relevant ``repro_campaign_tier_*``,
+``repro_engine_*`` and ``repro_runner_memo_hits_total`` counters from
+the metrics registry so hit-rate regressions show up alongside
+throughput ones.
 
 Usage::
 
@@ -505,12 +506,15 @@ def main() -> int:
                 snap, "repro_campaign_tier_quarantined_total"),
         },
         "campaign_counters": {
-            "commits": counter_total(snap, "repro_campaign_commits_total"),
-            "leases": counter_total(
-                snap, "repro_campaign_items_leased_total"),
-            "retries": counter_total(snap, "repro_campaign_retries_total"),
+            "commits": sum(
+                counter_total(snap, "repro_engine_outcomes_total",
+                              status=status)
+                for status in ("ok", "degraded", "rolled_back")
+            ),
+            "leases": counter_total(snap, "repro_engine_attempts_total"),
+            "retries": counter_total(snap, "repro_engine_retries_total"),
             "fallbacks": counter_total(
-                snap, "repro_campaign_fallbacks_total"),
+                snap, "repro_engine_fallbacks_total"),
         },
     }
     if args.number is not None:

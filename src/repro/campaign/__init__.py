@@ -15,10 +15,10 @@ Robustness is the design center:
 * worker **leases** carry deadlines and liveness heartbeats, so a
   crashed or hung worker's items are re-leased with backoff instead of
   lost;
-* the coordinator **journals** every state transition (leased /
-  completed / failed / quarantined) through the existing JSONL journal,
-  and a killed campaign resumes from journal + disk tier with zero
-  duplicated simulations;
+* every run is **journaled** by the engine's one recorder, exactly as
+  ``run-all`` journals it (``start`` / ``retry`` / ``fallback`` /
+  ``finish``), and a killed campaign resumes from journal + disk tier
+  with zero duplicated simulations;
 * ``--allow-partial`` degrades gracefully to partial results when items
   keep failing.
 

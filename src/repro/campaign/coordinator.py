@@ -10,28 +10,25 @@ starts no heartbeat thread.  It differs from
 engine promises one outcome per request in one process's lifetime; the
 coordinator promises a campaign that *survives its own death*.
 
-Mechanics (the lease loop itself is
+The lease loop and its record are
 :meth:`~repro.engine.core.ExperimentEngine.execute`, shared with
-``run-all``; this module supplies its campaign ledger):
+``run-all``: every attempt is journaled ``start``, a broken lease
+``retry`` or ``fallback`` (with its reason), and every item ``finish``
+once its result is committed to the durable result store
+(:class:`~repro.engine.store.CrashSafeStore`, the campaign's disk tier).
+This module adds only what a campaign needs on top:
 
-* every item dispatch takes a **lease** — journaled ``item_leased``,
-  with a deadline of ``policy.timeout_s`` from now; a worker that blows
-  the deadline or dies (liveness is swept every loop tick) gets its item
-  journaled ``item_released`` and re-leased after deterministic backoff;
-* a finished item is committed to the durable result store
-  (:class:`~repro.engine.store.CrashSafeStore`, the campaign's disk
-  tier) **before** it is journaled ``item_completed`` — so the tier,
-  not the journal, is the source of truth, and a crash between the two
-  costs nothing on resume;
-* resume replays the journal (tolerating the torn tail a SIGKILL
-  leaves), rescans the tier — quarantining corrupt rows and journaling
-  them ``item_quarantined`` — and re-runs exactly the items with no
-  valid committed artifact: zero duplicated simulations, byte-identical
+* the framing events ``campaign_start`` / ``campaign_resume`` /
+  ``campaign_finish``;
+* the recovery scan: resume replays the journal (tolerating the torn
+  tail a SIGKILL leaves), rescans the tier — quarantining corrupt rows
+  and journaling them ``item_quarantined`` — and re-runs exactly the
+  items with no valid committed artifact.  The tier, not the journal,
+  decides what is done, so a crash between a commit and its ``finish``
+  event costs nothing: zero duplicated simulations, byte-identical
   results;
-* items that exhaust retries degrade to the reference simulator (both
-  engines are exact, so resumed and fault-free campaigns stay
-  byte-identical) and, failing that, are journaled ``item_failed``;
-  whether that fails the campaign is ``allow_partial``'s call.
+* ``allow_partial``: items whose ladder ends in ``failed`` fail the
+  campaign unless partial results are accepted.
 """
 
 from __future__ import annotations
@@ -41,32 +38,27 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.campaign.plan import CampaignPlan, WorkItem
-from repro.engine.core import EngineConfig, ExperimentEngine, Task, journal_guard
+from repro.campaign.plan import CampaignPlan
+from repro.engine.core import (
+    STATUS_CACHED,
+    EngineConfig,
+    ExperimentEngine,
+    RunOutcome,
+    Task,
+)
+from repro.engine.faults import KillAfterCommits
 from repro.engine.journal import RunJournal, read_journal
 from repro.engine.store import CrashSafeStore
 from repro.errors import CampaignError
-from repro.experiments.runner import pack_record, unpack_record
+from repro.experiments.runner import unpack_record
 from repro.guard.config import GuardConfig
 from repro.obs import runtime as obs
 
 TIER_FILENAME = "campaign.db"
 JOURNAL_FILENAME = "journal.jsonl"
 RESULTS_FILENAME = "results.json"
-
-
-@dataclass
-class ItemOutcome:
-    """Terminal state of one work item in this coordinator run."""
-
-    item: WorkItem
-    status: str              # ok | analytic | degraded | cached | failed
-    stats: Optional[object] = None  # CacheStats when successful
-    attempts: int = 0
-    duration: float = 0.0
-    error: Optional[str] = None
 
 
 @dataclass
@@ -77,7 +69,7 @@ class CampaignReport:
     plan_digest: str
     resumed: bool
     duration: float
-    outcomes: Dict[str, ItemOutcome] = field(default_factory=dict)
+    outcomes: Dict[str, RunOutcome] = field(default_factory=dict)  # by item id
     quarantined: int = 0
 
     @property
@@ -115,7 +107,7 @@ class CampaignReport:
             import dataclasses
 
             results[item_id] = {
-                "key": outcome.item.key,
+                "key": outcome.key,
                 "stats": dataclasses.asdict(outcome.stats),
             }
         return {
@@ -233,30 +225,34 @@ class Coordinator:
                 duration=0.0,
                 quarantined=quarantined,
             )
+            pending = []
             for item in self.plan.items:
                 record = committed.get(item.key)
-                if record is not None:
-                    stats, _status = record
-                    report.outcomes[item.item_id] = ItemOutcome(
-                        item=item, status="cached", stats=stats
+                if record is None:
+                    pending.append(item)
+                else:
+                    report.outcomes[item.item_id] = RunOutcome(
+                        item.request, STATUS_CACHED, record[0]
                     )
-            pending = [
-                item for item in self.plan.items
-                if item.item_id not in report.outcomes
-            ]
             if pending:
+                kill_after = (
+                    self.faults.coordinator_kill_after if self.faults else None
+                )
+                if kill_after is not None:
+                    tier = KillAfterCommits(tier, kill_after)
                 with obs.span(
                     "campaign.execute",
                     campaign=self.plan.campaign_id, items=len(pending),
                 ):
-                    self._engine().execute(
+                    outcomes = self._engine().execute(
                         [
-                            Task(index=i, request=item.request,
-                                 key=item.key, item=item)
+                            Task(index=i, request=item.request, key=item.key)
                             for i, item in enumerate(pending)
                         ],
-                        _CampaignLedger(report, tier, journal, self.faults),
+                        tier, journal,
                     )
+                for item in pending:
+                    report.outcomes[item.item_id] = outcomes[item.key]
             report.duration = round(time.monotonic() - started, 6)
             journal.emit(
                 "campaign_finish",
@@ -316,14 +312,14 @@ class Coordinator:
                     continue
                 except (TypeError, KeyError):
                     journal.emit(
-                        "item_quarantined", item=item.item_id,
+                        "item_quarantined", run=item.key,
                         reason="unpackable record",
                     )
                     quarantined += 1
                     continue
             if item.key in quarantine_keys:
                 journal.emit(
-                    "item_quarantined", item=item.item_id,
+                    "item_quarantined", run=item.key,
                     reason="checksum mismatch",
                 )
                 quarantined += 1
@@ -359,92 +355,3 @@ class Coordinator:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.results_path)
-
-
-
-class _CampaignLedger:
-    """The coordinator's record: item journal, durable commit, statuses."""
-
-    def __init__(self, report: CampaignReport, tier: CrashSafeStore,
-                 journal, faults):
-        self.report = report
-        self.tier = tier
-        self.journal = journal
-        self.kill_after = faults.coordinator_kill_after if faults else None
-        self.commits = 0
-
-    def leased(self, task: Task, pid: int, injected: Optional[str]) -> None:
-        self.journal.emit(
-            "item_leased", item=task.item.item_id,
-            attempt=task.total_attempts, worker=pid,
-            simulator=task.simulator,
-            **({"injected": injected} if injected else {}),
-        )
-        obs.counter_add(
-            "repro_campaign_items_leased_total", 1,
-            "item leases granted to workers",
-        )
-
-    def released(self, task: Task, reason: str) -> None:
-        self.journal.emit(
-            "item_released", item=task.item.item_id, reason=reason,
-            attempt=task.total_attempts,
-        )
-        obs.counter_add(
-            "repro_campaign_items_released_total", 1,
-            "leases broken before completion, by reason", reason=reason,
-        )
-
-    def retrying(self, task: Task, delay: float) -> None:
-        obs.counter_add(
-            "repro_campaign_retries_total", 1,
-            "item re-leases scheduled after a broken lease",
-        )
-
-    def degrading(self, task: Task) -> None:
-        obs.counter_add(
-            "repro_campaign_fallbacks_total", 1,
-            "items degraded to the reference simulator",
-        )
-
-    def failed(self, task: Task) -> None:
-        self.journal.emit(
-            "item_failed", item=task.item.item_id,
-            error=task.last_error, attempts=task.total_attempts,
-        )
-        self._finish(task, "failed", error=task.last_error)
-
-    def completed(self, task: Task, status, stats, guard, tier) -> None:
-        journal_guard(
-            self.journal, guard, {"item": task.item.item_id, "run": task.key}
-        )
-        if status == "ok" and tier == "analytic":
-            status = "analytic"
-        # Commit order is the resume invariant: the durable tier first,
-        # the journal second.  A crash between the two is recovered by
-        # the tier scan, never by trusting the journal.
-        self.tier.put(task.key, pack_record(stats, status))
-        self.commits += 1
-        obs.counter_add(
-            "repro_campaign_commits_total", 1,
-            "item results durably committed to the disk tier",
-        )
-        if self.kill_after is not None and self.commits >= self.kill_after:
-            # Chaos: die between the tier commit and its journal event —
-            # the most adversarial instant, because the journal now
-            # under-reports what the tier holds.  Resume must reconcile
-            # from the tier.
-            os._exit(137)
-        self.journal.emit(
-            "item_completed", item=task.item.item_id, status=status,
-            attempts=task.total_attempts,
-            duration=round(task.total_time, 6),
-        )
-        self._finish(task, status, stats=stats)
-
-    def _finish(self, task: Task, status: str, stats=None, error=None) -> None:
-        self.report.outcomes[task.item.item_id] = ItemOutcome(
-            item=task.item, status=status, stats=stats,
-            attempts=task.total_attempts,
-            duration=round(task.total_time, 6), error=error,
-        )

@@ -1,17 +1,23 @@
 """Campaign state, replayed from the journal.
 
-The coordinator journals every item state transition through the same
-JSONL journal the engine uses, so the campaign's entire history is a
-fold over journal events::
+A campaign journals through the engine's one recorder
+(:meth:`repro.engine.core.ExperimentEngine.execute`), framed by the
+coordinator's own events, so the campaign's entire history is a fold
+over journal events::
 
     campaign_start    {campaign, plan, items, name}
-    item_leased       {item, attempt, worker}
-    item_released     {item, reason}        # lease broken: re-lease later
-    item_completed    {item, status, attempts, duration}
-    item_failed       {item, error, attempts}
-    item_quarantined  {item, reason}        # corrupt artifact dropped
+    start             {run, attempt, simulator, worker}   # lease taken
+    retry             {run, attempt, delay, reason}       # lease broken
+    fallback          {run, simulator, reason}            # lease broken
+    finish            {run, status, attempts, duration}   # terminal
+    item_quarantined  {run, reason}   # corrupt artifact dropped
     campaign_resume   {campaign, plan, committed, quarantined}
     campaign_finish   {campaign, completed, failed, duration}
+
+Per-run events name the run by its request key; the item id is
+:func:`~repro.campaign.plan.item_id_for` of that key.  A ``finish``
+whose status is ``failed`` ends the item's ladder (and, like ``retry``
+and ``fallback``, breaks a lease); any other status completes it.
 
 :func:`replay_journal` rebuilds a :class:`CampaignState` from those
 events, tolerating the torn tail line a SIGKILL leaves behind (via
@@ -26,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.campaign.plan import item_id_for
 from repro.errors import CampaignError
 
 #: item states a replay can produce
@@ -123,22 +130,25 @@ def replay_journal(
             if event.get("campaign") == campaign_id:
                 state.finished = True
             continue
-        item_id = event.get("item")
-        if not item_id:
+        run = event.get("run")
+        if not run:
             continue
-        if kind == "item_leased":
+        item_id = item_id_for(run)
+        if kind == "start":
             if state.items.get(item_id) not in (COMPLETED, FAILED):
                 state.items[item_id] = LEASED
-        elif kind == "item_released":
+        elif kind in ("retry", "fallback"):
             if state.items.get(item_id) == LEASED:
                 state.items[item_id] = PENDING
             state.releases += 1
-        elif kind == "item_completed":
-            state.items[item_id] = COMPLETED
-            state.statuses[item_id] = event.get("status", "ok")
-        elif kind == "item_failed":
-            state.items[item_id] = FAILED
-            state.statuses[item_id] = "failed"
+        elif kind == "finish":
+            status = event.get("status", "ok")
+            if status == FAILED:
+                state.releases += 1
+                state.items[item_id] = FAILED
+            else:
+                state.items[item_id] = COMPLETED
+            state.statuses[item_id] = status
         elif kind == "item_quarantined":
             # the committed artifact was condemned: the item must re-run
             state.items[item_id] = PENDING

@@ -12,34 +12,35 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.campaign.plan import item_id_for
 from repro.engine.journal import read_journal
 
 
 def committed_items(journal_path) -> List[str]:
-    """Item ids with an ``item_completed`` event, in journal order."""
+    """Item ids with a successful ``finish`` event, in journal order."""
     return [
-        event["item"]
+        item_id_for(event["run"])
         for event in read_journal(journal_path)
-        if event.get("event") == "item_completed"
+        if event.get("event") == "finish" and event.get("status") != "failed"
     ]
 
 
 def leased_after_resume(journal_path) -> List[str]:
-    """Item ids leased after the LAST ``campaign_resume`` event."""
+    """Item ids leased (``start``) after the LAST ``campaign_resume``."""
     leased: List[str] = []
     seen_resume = False
     for event in read_journal(journal_path):
         if event.get("event") == "campaign_resume":
             leased, seen_resume = [], True
-        elif event.get("event") == "item_leased" and seen_resume:
-            leased.append(event["item"])
+        elif event.get("event") == "start" and seen_resume:
+            leased.append(item_id_for(event["run"]))
     return leased
 
 
 def quarantined_items(journal_path) -> List[str]:
     """Item ids quarantined (corrupt tier rows / payloads), journal order."""
     return [
-        event["item"]
+        item_id_for(event["run"])
         for event in read_journal(journal_path)
         if event.get("event") == "item_quarantined"
     ]

@@ -754,7 +754,7 @@ def _campaign_run(args, resume: bool) -> int:
         if outcome.status != "failed":
             continue
         print(
-            f"failed: {outcome.item.key} after {outcome.attempts} "
+            f"failed: {outcome.key} after {outcome.attempts} "
             f"attempts: {outcome.error}",
             file=sys.stderr,
         )

@@ -27,10 +27,10 @@ strict-mode violation fails the run on its first attempt: the engine
 treats a strict verdict as final and neither retries it nor falls back
 to the reference simulator, which would run the same guard again.
 
-:meth:`ExperimentEngine.execute` is the one dispatch loop: ``run_many``
-and the campaign coordinator (:mod:`repro.campaign.coordinator`) both
-drive it, each with a *ledger* that writes down what the loop decides
-in the caller's own journal vocabulary and durable store.
+:meth:`ExperimentEngine.execute` is the one dispatch loop and the one
+recorder: ``run_many`` and the campaign coordinator
+(:mod:`repro.campaign.coordinator`) both drive it, and it journals,
+counts and commits every run the same way for both.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class RunOutcome:
     error: Optional[str] = None
     guard: Optional[dict] = None  # GuardReport record, when a guard ran
     tier: Optional[str] = None  # where the worker's answer came from
-    # ("analytic"/"memory"/"sim"/... — None for failures and old workers)
+    # ("analytic"/"memory"/"sim"/...; None for failures and cached runs)
 
     @property
     def key(self) -> str:
@@ -128,7 +128,6 @@ class Task:
     index: int
     request: RunRequest
     key: str
-    item: object = None  # the caller's handle (a campaign WorkItem)
     simulator: str = "fast"
     attempts: int = 0  # attempts started in the current stage
     total_attempts: int = 0  # across stages (fault-plan and jitter index)
@@ -201,31 +200,29 @@ class ExperimentEngine:
                 tasks.append(Task(index=len(tasks), request=request, key=key))
         if tasks:
             with obs.span("engine.execute", tasks=len(tasks)):
-                self.execute(tasks, _SweepLedger(outcomes, store, journal))
+                outcomes.update(self.execute(tasks, store, journal))
         return [outcomes[request_key(r)] for r in requests]
 
-    def execute(self, tasks: List[Task], ledger) -> None:
+    def execute(
+        self, tasks: List[Task], store=None, journal=None
+    ) -> Dict[str, RunOutcome]:
         """Drive every task to a terminal state on leased workers.
 
         The loop owns dispatch, lease deadlines, fault injection, payload
         validation, containment of crashes, torn messages, timeouts, dead
         workers and failed dispatches, and the retry -> fallback -> fail
-        ladder.  ``ledger`` records what it decides, through six hooks:
-
-        * ``leased(task, pid, injected)`` — an attempt went to a worker;
-        * ``released(task, reason)`` — it failed; ``reason`` is a key of
-          :data:`RELEASE_REASONS` and ``task.last_error`` says why;
-        * ``retrying(task, delay)`` / ``degrading(task)`` — the ladder's
-          next rung: the same simulator after ``delay`` seconds, or the
-          reference simulator now;
-        * ``failed(task)`` — the ladder is exhausted, or a strict guard
-          rejected the layout, a verdict treated as final (terminal);
-        * ``completed(task, status, stats, guard, tier)`` — a validated
-          result (terminal); ``status`` is ``ok``, ``degraded`` or
-          ``rolled_back``.
+        ladder.  It also records what it decides, the same way for every
+        caller: ``start`` / ``retry`` / ``fallback`` / ``finish`` journal
+        events naming each run by ``run`` (its request key), the guard
+        verdict through :func:`journal_guard`, the ``repro_engine_*``
+        counters, and each validated result committed to ``store``
+        before its ``finish`` event.  Returns one :class:`RunOutcome`
+        per task, keyed by request key.
         """
         cfg = self.config
+        journal = journal or NullJournal()
         guard = cfg.guard.to_record() if cfg.guard else None
+        outcomes: Dict[str, RunOutcome] = {}
         # Worker life cycle is context-managed: the pool's leased()
         # returns the (in-place mutated) worker list however the loop
         # ends — so replacements go back warm and an exception can never
@@ -255,7 +252,22 @@ class ExperimentEngine:
             task.started_at = time.monotonic()
             worker.task = task
             worker.deadline = task.started_at + timeout
-            ledger.leased(task, worker.proc.pid, injected)
+            if obs.is_enabled():
+                obs.counter_add(
+                    "repro_engine_attempts_total", 1,
+                    "task attempts dispatched to workers",
+                    simulator=task.simulator,
+                )
+                obs.observe(
+                    "repro_engine_queue_wait_seconds",
+                    max(0.0, task.started_at - task.enqueued_at),
+                    "time tasks sat ready before a worker picked them up",
+                )
+            journal.emit(
+                "start", run=task.key, attempt=task.total_attempts,
+                simulator=task.simulator, worker=worker.proc.pid,
+                **({"injected": injected} if injected else {}),
+            )
             try:
                 worker.conn.send(
                     (
@@ -267,31 +279,70 @@ class ExperimentEngine:
                 return False
             return True
 
+        def finish(
+            task: Task, status: str, stats=None, guard_record=None, tier=None
+        ) -> None:
+            nonlocal remaining
+            # Commit order is the resume invariant: the durable store
+            # first, the journal second.  A crash (or a failed put)
+            # between the two never journals a finish the store cannot
+            # back; resume trusts the store, never the journal.
+            if stats is not None and store is not None:
+                store.put(task.key, pack_record(stats, status))
+            error = task.last_error if status == STATUS_FAILED else None
+            duration = round(task.total_time, 6)
+            outcomes[task.key] = RunOutcome(
+                task.request, status, stats, attempts=task.total_attempts,
+                duration=duration, error=error, guard=guard_record, tier=tier,
+            )
+            journal.emit(
+                "finish", run=task.key, status=status,
+                attempts=task.total_attempts, duration=duration,
+                **({"error": error} if error else {}),
+                **({"tier": tier} if tier else {}),
+            )
+            obs.counter_add(
+                "repro_engine_outcomes_total", 1,
+                "terminal run outcomes, by status", status=status,
+            )
+            remaining -= 1
+
         def release(task: Task, reason: str, message: str) -> None:
-            nonlocal seq, remaining
+            nonlocal seq
             now = time.monotonic()
             task.total_time += now - task.started_at
             task.last_error = f"{RELEASE_REASONS[reason]}: {message}"
-            ledger.released(task, reason)
             seq += 1
             if reason == "guard":
                 # A strict guard verdict is treated as final: a retry or
                 # the reference fallback would run the same guard again.
-                ledger.failed(task)
-                remaining -= 1
+                finish(task, STATUS_FAILED)
             elif task.attempts <= cfg.retries:
                 delay = backoff(cfg, task)
-                ledger.retrying(task, delay)
+                obs.counter_add(
+                    "repro_engine_retries_total", 1,
+                    "attempts re-queued after a failure",
+                )
+                journal.emit(
+                    "retry", run=task.key, attempt=task.total_attempts,
+                    delay=round(delay, 3), reason=task.last_error,
+                )
                 heapq.heappush(delayed, (now + delay, seq, task))
             elif cfg.fallback and not task.fallback_used:
                 task.fallback_used = True
                 task.simulator = "reference"
                 task.attempts = 0
-                ledger.degrading(task)
+                obs.counter_add(
+                    "repro_engine_fallbacks_total", 1,
+                    "runs degraded to the reference simulator",
+                )
+                journal.emit(
+                    "fallback", run=task.key, simulator="reference",
+                    reason=task.last_error,
+                )
                 heapq.heappush(delayed, (now, seq, task))
             else:
-                ledger.failed(task)
-                remaining -= 1
+                finish(task, STATUS_FAILED)
 
         def replace(worker: _Worker, reason: str, message: str) -> None:
             task = worker.task
@@ -305,7 +356,6 @@ class ExperimentEngine:
             )
 
         def receive(worker: _Worker) -> None:
-            nonlocal remaining
             task = worker.task
             try:
                 msg = worker.conn.recv()
@@ -333,23 +383,22 @@ class ExperimentEngine:
             if msg[0] in ("error", "guard"):
                 release(task, msg[0], str(msg[2]))
                 return
-            if len(msg) > 4 and msg[4] is not None:
+            _, _, payload, digest, metrics, guard_record, tier = msg
+            if metrics is not None:
                 try:
-                    obs.merge_snapshot(msg[4])
+                    obs.merge_snapshot(metrics)
                 except Exception:  # never fail a run over metrics
                     pass
-            stats = validate_payload(msg[2], msg[3])
+            stats = validate_payload(payload, digest)
             if stats is None:
                 release(task, "corrupt_payload", "result payload failed checksum")
                 return
             task.total_time += time.monotonic() - task.started_at
-            guard_record = msg[5] if len(msg) > 5 else None
             status = STATUS_DEGRADED if task.simulator == "reference" else STATUS_OK
             if guard_record and guard_record.get("status") == "rolled_back":
                 status = STATUS_ROLLED_BACK
-            tier = msg[6] if len(msg) > 6 else None
-            ledger.completed(task, status, stats, guard_record, tier)
-            remaining -= 1
+            journal_guard(journal, guard_record, task.key)
+            finish(task, status, stats, guard_record, tier)
 
         try:
             while remaining > 0:
@@ -396,6 +445,7 @@ class ExperimentEngine:
                         replace(worker, "crash", died(worker))
         finally:
             stack.close()
+        return outcomes
 
     # -- internals ----------------------------------------------------------
 
@@ -412,109 +462,24 @@ class ExperimentEngine:
             return None  # malformed entry: re-run it
 
 
-class _SweepLedger:
-    """``run_many``'s record: engine journal, result store, outcomes."""
-
-    def __init__(self, outcomes: Dict[str, RunOutcome], store, journal):
-        self.outcomes = outcomes
-        self.store = store
-        self.journal = journal
-
-    def leased(self, task: Task, pid: int, injected: Optional[str]) -> None:
-        if obs.is_enabled():
-            obs.counter_add(
-                "repro_engine_attempts_total", 1,
-                "task attempts dispatched to workers",
-                simulator=task.simulator,
-            )
-            obs.observe(
-                "repro_engine_queue_wait_seconds",
-                max(0.0, task.started_at - task.enqueued_at),
-                "time tasks sat ready before a worker picked them up",
-            )
-        self.journal.emit(
-            "start", run=task.key, attempt=task.total_attempts,
-            simulator=task.simulator, worker=pid,
-            **({"injected": injected} if injected else {}),
-        )
-
-    def released(self, task: Task, reason: str) -> None:
-        pass  # the retry/fallback/finish event carries the reason
-
-    def retrying(self, task: Task, delay: float) -> None:
-        obs.counter_add(
-            "repro_engine_retries_total", 1,
-            "attempts re-queued after a failure",
-        )
-        self.journal.emit(
-            "retry", run=task.key, attempt=task.total_attempts,
-            delay=round(delay, 3), reason=task.last_error,
-        )
-
-    def degrading(self, task: Task) -> None:
-        obs.counter_add(
-            "repro_engine_fallbacks_total", 1,
-            "runs degraded to the reference simulator",
-        )
-        self.journal.emit(
-            "fallback", run=task.key, simulator="reference",
-            reason=task.last_error,
-        )
-
-    def failed(self, task: Task) -> None:
-        self._finish(task, STATUS_FAILED, error=task.last_error)
-
-    def completed(self, task: Task, status, stats, guard, tier) -> None:
-        journal_guard(
-            self.journal, guard, {"run": task.key},
-            rollback_fields=("baseline_miss_pct", "padded_miss_pct"),
-        )
-        self._finish(task, status, stats, guard=guard, tier=tier)
-
-    def _finish(
-        self, task: Task, status: str, stats=None, error=None, guard=None,
-        tier=None,
-    ) -> None:
-        # Commit order is the resume invariant, as in the campaign
-        # ledger: the durable store first, the journal second.  A crash
-        # (or a failed put) between the two never journals a finish the
-        # store cannot back.
-        if stats is not None and self.store is not None:
-            self.store.put(task.key, pack_record(stats, status))
-        duration = round(task.total_time, 6)
-        self.outcomes[task.key] = RunOutcome(
-            task.request, status, stats, attempts=task.total_attempts,
-            duration=duration, error=error, guard=guard, tier=tier,
-        )
-        self.journal.emit(
-            "finish", run=task.key, status=status,
-            attempts=task.total_attempts, duration=duration,
-            **({"error": error} if error else {}),
-            **({"tier": tier} if tier else {}),
-        )
-        obs.counter_add(
-            "repro_engine_outcomes_total", 1,
-            "terminal run outcomes, by status", status=status,
-        )
-
-
-def journal_guard(journal, guard, ids: dict, rollback_fields=()) -> None:
+def journal_guard(journal, guard, run: str) -> None:
     """Persist a worker's guard verdict so it survives a crash.
 
     Violations and a rollback become their own journal events, tagged
-    with ``ids`` (the worker's in-process guard sinks die with the
-    worker, so the parent re-emits from the verdict record it shipped
-    back).  The worker already counted them in the metrics snapshot the
-    parent merged, so nothing is counted here.
+    with the ``run`` key (the worker's in-process guard sinks die with
+    the worker, so the parent re-emits from the verdict record it
+    shipped back).  The worker already counted them in the metrics
+    snapshot the parent merged, so nothing is counted here.
     """
     if not guard:
         return
     for violation in guard.get("violations", ()):
-        journal.emit("guard_violation", **ids, **violation)
+        journal.emit("guard_violation", run=run, **violation)
     if guard.get("status") == "rolled_back":
         journal.emit(
-            "guard_rollback", **ids,
-            **{name: guard.get(name) for name in rollback_fields},
+            "guard_rollback", run=run,
+            baseline_miss_pct=guard.get("baseline_miss_pct"),
+            padded_miss_pct=guard.get("padded_miss_pct"),
         )
 
 

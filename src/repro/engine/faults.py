@@ -23,10 +23,13 @@ fails can be replayed exactly.  Kinds:
 
 Plans are usually built from a :class:`~repro.chaos.ChaosSchedule`
 (the ``--chaos`` file), whose ``campaign`` section adds a coordinator
-kill and disk-tier row corruption (:func:`corrupt_disk_tier`).
+kill (:class:`KillAfterCommits`) and disk-tier row corruption
+(:func:`corrupt_disk_tier`).
 
 :func:`corrupt_disk_tier` complements the plan by damaging rows of an
 on-disk result store, exercising the store's quarantine path;
+:class:`KillAfterCommits` wraps a result store so the process dies right
+after a durable commit, before that run's ``finish`` journal event;
 :func:`corrupt_layout` damages a :class:`~repro.layout.layout.MemoryLayout`
 in one of :data:`LAYOUT_CORRUPTIONS` ways, bypassing the layout's safe
 setters exactly like a buggy driver would.
@@ -35,6 +38,7 @@ setters exactly like a buggy driver would.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,6 +126,30 @@ def corrupt_disk_tier(path, fraction: float, seed: int = 0) -> int:
         return hit
     finally:
         conn.close()
+
+
+class KillAfterCommits:
+    """Result-store wrapper that hard-exits after the Nth commit.
+
+    :meth:`put` commits through the wrapped store, then on the
+    ``commits``-th call exits the process with status 137 (a SIGKILL
+    death).  The engine journals a run's ``finish`` only after its
+    commit, so the kill lands at the most adversarial instant: the
+    journal now under-reports what the store holds, and a resume must
+    reconcile from the store.  Only ``put`` is wrapped, the one call
+    :meth:`~repro.engine.core.ExperimentEngine.execute` makes.
+    """
+
+    def __init__(self, store, commits: int):
+        self.store = store
+        self.left = commits
+
+    def put(self, key: str, record) -> None:
+        """Commit ``record``; die if this was the Nth commit."""
+        self.store.put(key, record)
+        self.left -= 1
+        if self.left <= 0:
+            os._exit(137)
 
 
 LAYOUT_CORRUPTIONS = (

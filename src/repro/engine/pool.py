@@ -27,17 +27,19 @@ A pool has ``jobs`` logical *slots*.  Each slot holds at most one worker
 * **Heartbeats** — :meth:`sweep` pings every idle worker; one that stays
   silent past :data:`PING_TIMEOUT_S` is wedged and killed.  Pongs are
   drained before the sweep ends, so none can linger in a pipe a later
-  task dispatch reads.  :meth:`start` runs a sweep every
-  ``heartbeat_s`` on a background thread; only ``repro serve`` starts
-  one, so one-shot sweeps run no thread.
+  task dispatch reads.  The pinged workers leave the idle set and the
+  lock is released while the sweep waits for their pongs, so health
+  reads never wait on a wedged worker; a lease waits for the sweep to
+  hand them back.  :meth:`start` runs a sweep every ``heartbeat_s`` on
+  a background thread; only ``repro serve`` starts one, so one-shot
+  sweeps run no thread.
 * **Bounded respawn** — a sweep refills the slots it emptied from a
   sliding budget (:data:`MAX_RESPAWNS`, one credit back per clean
   sweep) under exponential backoff, so a crash loop shrinks the pool
   instead of fork-bombing the host, and capacity recovers once the
   crashes stop.
 
-The pool is thread-safe: every entry point serialises on one lock,
-which also keeps heartbeat sweeps from interleaving with leases.
+The pool is thread-safe: every entry point serialises on one lock.
 Breaker cooldowns and respawn backoff run on :mod:`repro.chaos.clock`,
 so chaos schedules can skew them; the heartbeat's I/O wait is real time.
 """
@@ -55,12 +57,7 @@ from repro.chaos import clock
 from repro.engine.worker import worker_main
 from repro.errors import EngineError
 from repro.obs import runtime as obs
-from repro.resilience.breaker import (
-    OPEN,
-    STATE_CODES,
-    BreakerPolicy,
-    CircuitBreaker,
-)
+from repro.resilience.breaker import STATE_CODES, BreakerPolicy, CircuitBreaker
 
 #: real seconds an idle worker has to answer a heartbeat ping
 PING_TIMEOUT_S = 2.0
@@ -133,7 +130,9 @@ class WorkerPool:
         self.heartbeat_s = heartbeat_s
         self._ctx = _mp_context()
         self._lock = threading.RLock()
+        self._swept = threading.Condition(self._lock)  # a sweep ended
         self._idle: List[_Worker] = []
+        self._pinging: Set[int] = set()  # slots a sweep has off _idle
         self._out: Set[int] = set()  # slots out on lease
         self._closed = False
         self._breakers = [CircuitBreaker(BREAKER_POLICY) for _ in range(jobs)]
@@ -225,6 +224,8 @@ class WorkerPool:
         neither idle nor leased.
         """
         with self._lock:
+            while self._pinging and not self._closed:
+                self._swept.wait()
             self._require_open()
             count = max(1, min(count, self.jobs))
             now = clock.monotonic()
@@ -370,31 +371,37 @@ class WorkerPool:
         with self._lock:
             self._require_open()
             self._sweeps += 1
-            dead = [w for w in self._idle if not w.proc.is_alive()]
-            live = [w for w in self._idle if w.proc.is_alive()]
-            pending = {}
-            for worker in live:
-                try:
-                    worker.conn.send(("ping", next(_ping_tokens)))
-                    pending[worker.conn] = worker
-                except (BrokenPipeError, OSError):
-                    dead.append(worker)
-            # Drain every pong before the sweep ends: a worker answers
-            # inside the window or is killed.  Real time, not the chaos
-            # clock: this is an I/O wait, and skewing it would turn fake
-            # time into real hangs.
-            wedged: List[_Worker] = []
-            deadline = time.monotonic() + PING_TIMEOUT_S
-            for conn in list(pending):
-                if not conn.poll(max(0.0, deadline - time.monotonic())):
-                    continue
-                worker = pending.pop(conn)
-                try:
-                    if conn.recv()[0] != "pong":  # pragma: no cover
-                        wedged.append(worker)
-                except Exception:
-                    dead.append(worker)
-            wedged.extend(pending.values())
+            checked = list(self._idle)
+            self._idle.clear()
+            self._pinging.update(worker.slot for worker in checked)
+        # Ping and drain every pong outside the lock: a worker answers
+        # inside the window or is killed.  Real time, not the chaos
+        # clock: this is an I/O wait, and skewing it would turn fake
+        # time into real hangs.
+        dead = [w for w in checked if not w.proc.is_alive()]
+        live = [w for w in checked if w.proc.is_alive()]
+        pending = {}
+        for worker in live:
+            try:
+                worker.conn.send(("ping", next(_ping_tokens)))
+                pending[worker.conn] = worker
+            except (BrokenPipeError, OSError):
+                dead.append(worker)
+        wedged: List[_Worker] = []
+        deadline = time.monotonic() + PING_TIMEOUT_S
+        for conn in list(pending):
+            if not conn.poll(max(0.0, deadline - time.monotonic())):
+                continue
+            worker = pending.pop(conn)
+            try:
+                if conn.recv()[0] != "pong":  # pragma: no cover
+                    wedged.append(worker)
+            except Exception:
+                dead.append(worker)
+        wedged.extend(pending.values())
+        with self._lock:
+            self._pinging.difference_update(worker.slot for worker in checked)
+            self._swept.notify_all()
             for worker in wedged:
                 self._wedged_total += 1
                 self._breakers[worker.slot].record_failure()
@@ -404,10 +411,14 @@ class WorkerPool:
                     help="idle workers found unresponsive to heartbeat pings",
                 )
             casualties = dead + wedged
-            for worker in casualties:
-                self._idle.remove(worker)
-                worker.kill()
-            respawned = self._respawn(len(casualties))
+            for worker in checked:
+                if worker in casualties:
+                    worker.kill()
+                elif self._closed:  # closed while the pings were out
+                    worker.stop()
+                else:
+                    self._idle.append(worker)
+            respawned = 0 if self._closed else self._respawn(len(casualties))
             if not casualties:
                 # Clean sweep: refill one respawn credit, relax backoff.
                 self._respawn_budget = min(
@@ -458,11 +469,19 @@ class WorkerPool:
     # -- internals ----------------------------------------------------------
 
     def _open_slots(self) -> int:
-        return sum(1 for breaker in self._breakers if breaker.state == OPEN)
+        """Slots whose breaker cooldown is still running (lock held).
+
+        A breaker whose cooldown has passed is not counted: its slot's
+        next lease is the half-open probe, and counting it would keep
+        the serve tier in brownout, where nothing leases.
+        """
+        now = clock.monotonic()
+        return sum(1 for breaker in self._breakers if breaker.cooling(now))
 
     def _empty_slots(self) -> List[int]:
-        """Slots with no worker, idle or leased (lock held)."""
-        taken = self._out.union(worker.slot for worker in self._idle)
+        """Slots with no worker, idle, pinged or leased (lock held)."""
+        taken = self._out.union(self._pinging)
+        taken.update(worker.slot for worker in self._idle)
         return [slot for slot in range(self.jobs) if slot not in taken]
 
     def _spawn(self, slot: int) -> _Worker:

@@ -11,9 +11,8 @@ to the parent over a pipe:
   ``slow`` fault's is the stall in seconds), ``collect`` asks the
   worker to gather a metrics snapshot for the task, ``guard`` is a
   :class:`~repro.guard.config.GuardConfig` record or ``None``, ``jit``
-  is the trace-engine policy (default ``"auto"``) and ``tier`` the
-  analytic tier-0 policy (default ``"sim"``; older parents may omit
-  trailing fields).  A ``ping`` is the worker pool's heartbeat
+  is the trace-engine policy and ``tier`` the analytic tier-0 policy.
+  A ``ping`` is the worker pool's heartbeat
   (:meth:`repro.engine.pool.WorkerPool.sweep`): a live, unwedged worker
   echoes ``("pong", token)`` immediately.
 * worker -> parent: ``("ok", task_id, stats_payload, checksum, metrics,
@@ -76,15 +75,12 @@ def worker_main(conn) -> None:
         except (EOFError, OSError, KeyboardInterrupt):
             return
         if msg[0] == "ping":
-            _send(conn, ("pong", msg[1] if len(msg) > 1 else None))
+            _send(conn, ("pong", msg[1]))
             continue
         if msg[0] != "task":
             return
-        _, task_id, request, simulator, fault = msg[:5]
-        collect = bool(msg[5]) if len(msg) > 5 else False
-        guard_record = msg[6] if len(msg) > 6 else None
-        runner.jit = msg[7] if len(msg) > 7 else "auto"
-        runner.predict = msg[8] if len(msg) > 8 else "sim"
+        (_, task_id, request, simulator, fault, collect, guard_record,
+         runner.jit, runner.predict) = msg
         kind, param = fault if fault else (None, None)
         if kind == "kill":
             os._exit(KILL_EXIT_CODE)

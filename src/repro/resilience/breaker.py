@@ -98,6 +98,15 @@ class CircuitBreaker:
             return True
         return False
 
+    def cooling(self, now: float) -> bool:
+        """Open with its cooldown still running at ``now``.
+
+        Once the cooldown has passed the breaker still reads ``open``
+        until :meth:`allow` sends the half-open probe, but it no longer
+        keeps its slot out of service.
+        """
+        return self.state == OPEN and now < self._open_until
+
     # -- feedback ------------------------------------------------------------
 
     def record_success(self) -> None:

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.engine.journal import read_journal
+from repro.chaos import report
 
 pytestmark = [pytest.mark.engine, pytest.mark.chaos]
 
@@ -82,20 +82,11 @@ def ckill(directory, after):
 
 
 def committed_items(workdir):
-    return [
-        row["item"] for row in read_journal(workdir / "journal.jsonl")
-        if row.get("event") == "item_completed"
-    ]
+    return report.committed_items(workdir / "journal.jsonl")
 
 
 def leased_after_resume(workdir):
-    leased, seen = [], False
-    for row in read_journal(workdir / "journal.jsonl"):
-        if row.get("event") == "campaign_resume":
-            leased, seen = [], True
-        elif row.get("event") == "item_leased" and seen:
-            leased.append(row["item"])
-    return leased
+    return report.leased_after_resume(workdir / "journal.jsonl")
 
 
 class TestCoordinatorKill:

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.campaign.coordinator import Coordinator
 from repro.campaign.plan import compile_plan
 from repro.campaign.spec import parse_spec
 from repro.chaos import ChaosSchedule
+from repro.engine import core as engine_core
 from repro.engine.core import EngineConfig, ExperimentEngine
 from repro.engine.faults import FaultPlan
 from repro.engine.journal import RunJournal, read_journal
@@ -50,7 +52,9 @@ class TestRun:
         # every item hit the durable tier before being journaled done
         with CrashSafeStore(tmp_path / "campaign.db") as tier:
             assert len(tier) == len(plan.items)
-        assert len(events(tmp_path, "item_completed")) == len(plan.items)
+        finished = events(tmp_path, "finish")
+        assert len(finished) == len(plan.items)
+        assert all(row["status"] != "failed" for row in finished)
         assert events(tmp_path, "campaign_start")
         assert events(tmp_path, "campaign_finish")
 
@@ -84,7 +88,7 @@ class TestResume:
         )
         leased_after = [
             row for row in rows[resume_at:]
-            if row.get("event") == "item_leased"
+            if row.get("event") == "start"
         ]
         assert leased_after == []
 
@@ -126,8 +130,8 @@ class TestFaults:
             (ref_dir / "results.json").read_bytes()
             == (chaos_dir / "results.json").read_bytes()
         )
-        # injected faults show up as released leases in the journal
-        assert events(chaos_dir, "item_released")
+        # injected faults show up as broken leases in the journal
+        assert events(chaos_dir, "retry") + events(chaos_dir, "fallback")
 
     def test_exhausted_retries_fail_the_campaign(self, tmp_path):
         plan = small_plan(
@@ -137,7 +141,12 @@ class TestFaults:
         faults = ChaosSchedule(seed=3, worker=FaultPlan(error=1.0, seed=3))
         with pytest.raises(CampaignError, match="failed"):
             Coordinator(plan, tmp_path, jobs=1, faults=faults).run()
-        assert events(tmp_path, "item_failed")
+        failed = [
+            row for row in events(tmp_path, "finish")
+            if row["status"] == "failed"
+        ]
+        assert failed
+        assert all("InjectedFault" in row["error"] for row in failed)
 
     def test_allow_partial_returns_partial_report(self, tmp_path):
         plan = small_plan(
@@ -155,16 +164,27 @@ class TestFaults:
 
 
 class TestSharedLadder:
-    """``run_many`` and a campaign climb one retry -> fallback -> fail
-    ladder: the same fault plan gives every key the same history."""
+    """``run_many`` and a campaign are recorded by the same code: under
+    the same fault plan every run gets the same journal lines."""
 
-    def test_same_fault_plan_same_ladder(self, tmp_path):
+    def test_same_fault_plan_same_ladder(self, tmp_path, monkeypatch):
+        # Freeze the engine's clock so durations (wall time) are 0.0 on
+        # both sides; faults without a pid in their reason (a crash's
+        # reason names the dead worker's pid) keep the lines comparable.
+        class FrozenClock:
+            sleep = staticmethod(time.sleep)
+
+            @staticmethod
+            def monotonic():
+                return 0.0
+
+        monkeypatch.setattr(engine_core, "time", FrozenClock)
         plan = small_plan(
             heuristics=["pad", "original"],
             caches=[{"size": "8K", "line": 32}, {"size": "4K", "line": 32}],
             policy={"backoff_base_s": 0.0, "timeout_s": 30.0, "retries": 1},
         )
-        faults = FaultPlan(kill=0.3, error=0.3, seed=4)
+        faults = FaultPlan(error=0.4, corrupt=0.2, seed=4)
         report = Coordinator(
             plan, tmp_path / "campaign", jobs=2, allow_partial=True,
             faults=ChaosSchedule(seed=4, worker=faults),
@@ -173,29 +193,25 @@ class TestSharedLadder:
         config = EngineConfig(
             jobs=2, timeout=30.0, retries=1, backoff_base=0.0, faults=faults
         )
-        outcomes = ExperimentEngine(config).run_many(
-            [item.request for item in plan.items],
-            journal=RunJournal(sweep_journal),
-        )
+        with RunJournal(sweep_journal) as journal:
+            outcomes = ExperimentEngine(config).run_many(
+                [item.request for item in plan.items], journal=journal
+            )
 
-        def attempts(rows, event, id_field):
-            history = collections.defaultdict(list)
+        def per_run(rows):
+            lines = collections.defaultdict(list)
             for row in rows:
-                if row.get("event") == event:
-                    history[row[id_field]].append(
-                        (row["attempt"], row["simulator"], row.get("injected"))
-                    )
-            return history
+                if "run" in row:
+                    row = dict(row)
+                    row.pop("ts")
+                    row.pop("worker", None)
+                    lines[row["run"]].append(row)
+            return dict(lines)
 
-        swept = attempts(read_journal(sweep_journal), "start", "run")
-        leased = attempts(
-            events(tmp_path / "campaign"), "item_leased", "item"
-        )
+        swept = per_run(read_journal(sweep_journal))
+        assert per_run(events(tmp_path / "campaign")) == swept
+        assert sorted(swept) == sorted(item.key for item in plan.items)
         for item, outcome in zip(plan.items, outcomes):
-            mine = report.outcomes[item.item_id]
-            assert leased[item.item_id] == swept[item.key]
-            assert mine.attempts == outcome.attempts
-            assert mine.status == outcome.status
-            assert mine.stats == outcome.stats
+            assert report.outcomes[item.item_id] == outcome
         # the seed exercises every rung of the ladder
         assert {o.status for o in outcomes} == {"ok", "degraded", "failed"}

@@ -14,6 +14,7 @@ from repro.campaign.coordinator import Coordinator
 from repro.campaign.plan import compile_plan
 from repro.campaign.spec import parse_spec
 from repro.campaign.state import replay_journal
+from repro.chaos.report import leased_after_resume
 from repro.engine.faults import corrupt_disk_tier
 from repro.engine.journal import read_journal
 from repro.errors import CampaignError
@@ -46,7 +47,7 @@ class TestTornJournal:
         journal = tmp_path / "journal.jsonl"
         # tear the file mid-record, as a crash during a write would
         blob = journal.read_bytes()
-        journal.write_bytes(blob + b'{"event": "item_comp')
+        journal.write_bytes(blob + b'{"event": "fini')
         state = replay_journal(read_journal(journal), plan.campaign_id)
         assert state.counts()["completed"] == len(plan.items)
 
@@ -61,7 +62,7 @@ class TestTornJournal:
 
     def test_replay_without_start_event_refused(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        journal.write_text('{"event": "item_completed", "item": "x"}\n')
+        journal.write_text('{"event": "finish", "run": "x"}\n')
         with pytest.raises(CampaignError):
             replay_journal(read_journal(journal))
 
@@ -139,3 +140,39 @@ class TestCorruptTier:
         assert report.quarantined == 1
         doc = json.loads((tmp_path / "results.json").read_text())
         assert len(doc["results"]) == len(plan.items)
+
+
+class TestPreChangeJournal:
+    """A workdir journaled in the retired per-item vocabulary
+    (``item_leased`` / ``item_completed`` / ...) still resumes: the tier
+    scan, not the journal, decides what is done."""
+
+    def test_resume_reruns_only_what_the_tier_lacks(self, tmp_path):
+        plan = small_plan()
+        Coordinator(plan, tmp_path, jobs=2).run()
+        reference = (tmp_path / "results.json").read_bytes()
+        journal = tmp_path / "journal.jsonl"
+        start = events(tmp_path, "campaign_start")[0]
+        lines = [start]
+        for item in plan.items:
+            lines.append({"event": "item_leased", "item": item.item_id,
+                          "attempt": 1, "worker": 1, "simulator": "fast"})
+            lines.append({"event": "item_completed", "item": item.item_id,
+                          "status": "ok", "attempts": 1, "duration": 0.1})
+        lines.append({"event": "campaign_finish",
+                      "campaign": plan.campaign_id,
+                      "completed": len(plan.items), "failed": 0,
+                      "duration": 0.1})
+        journal.write_text("".join(json.dumps(row) + "\n" for row in lines))
+        lost = plan.items[0]
+        conn = sqlite3.connect(str(tmp_path / "campaign.db"))
+        conn.execute("DELETE FROM results WHERE key = ?", (lost.key,))
+        conn.commit()
+        conn.close()
+
+        report = Coordinator(plan, tmp_path, jobs=2).run(resume=True)
+        assert report.ok
+        assert report.cached == len(plan.items) - 1
+        assert report.outcomes[lost.item_id].status == "ok"
+        assert leased_after_resume(journal) == [lost.item_id]
+        assert (tmp_path / "results.json").read_bytes() == reference

@@ -2,6 +2,8 @@
 
 import os
 import signal
+import sys
+import threading
 
 import pytest
 
@@ -130,6 +132,95 @@ class TestSupervisorHeartbeat:
             names = {c["name"] for c in obs.snapshot()["counters"]}
             assert "repro_resilience_wedged_total" in names
             assert "repro_resilience_respawns_total" in names
+
+    def test_health_reads_do_not_wait_on_a_wedged_worker(self, monkeypatch):
+        """A sweep waits for pongs without holding the pool lock."""
+        order = []
+        waiting = threading.Event()
+
+        class SpyConn:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+            def poll(self, timeout):
+                order.append("poll")
+                waiting.set()
+                ready = self._conn.poll(timeout)
+                order.append("pong" if ready else "silence")
+                return ready
+
+        with make_pool(monkeypatch, jobs=1, PING_TIMEOUT_S=30.0) as pool:
+            pool.warm()
+            [victim] = pool._idle
+            victim.conn = SpyConn(victim.conn)
+            os.kill(victim.proc.pid, signal.SIGSTOP)  # alive but wedged
+            sweeper = threading.Thread(target=pool.sweep)
+            reader = threading.Thread(
+                target=lambda: order.append(("healthy", pool.healthy))
+            )
+            try:
+                sweeper.start()
+                assert waiting.wait(30)
+                reader.start()
+                reader.join(10)
+            finally:
+                os.kill(victim.proc.pid, signal.SIGCONT)  # now it pongs
+                sweeper.join(30)
+                reader.join(30)
+            assert not sweeper.is_alive() and not reader.is_alive()
+            # the read returned while the sweep was still waiting
+            assert order == ["poll", ("healthy", True), "pong"]
+            assert pool.idle_count == 1
+
+    def test_leases_never_share_a_slot_with_a_sweep(self, monkeypatch):
+        """Sweeps hand pinged workers back while leases come and go."""
+        held, clashes, errors = set(), [], []
+        guard = threading.Lock()
+        done = threading.Event()
+
+        def leaser():
+            try:
+                for _ in range(40):
+                    workers = pool.lease(1)
+                    slots = {worker.slot for worker in workers}
+                    with guard:
+                        if slots & held:
+                            clashes.append(slots)
+                        held.update(slots)
+                    with guard:
+                        held.difference_update(slots)
+                    pool.release(workers)
+                    pool.warm()  # must not fill a slot a sweep is pinging
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
+
+        def sweeper():
+            while not done.is_set():
+                pool.sweep()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_pool(monkeypatch, jobs=2) as pool:
+                pool.warm()
+                threads = [threading.Thread(target=leaser) for _ in range(2)]
+                sweep = threading.Thread(target=sweeper)
+                sweep.start()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                done.set()
+                sweep.join(60)
+                assert not any(t.is_alive() for t in threads + [sweep])
+                assert errors == [] and clashes == []
+                slots = [worker.slot for worker in pool._idle]
+                assert sorted(slots) == [0, 1]  # one worker per slot
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_dead_worker_culled_and_replaced(self, monkeypatch):
         with make_pool(monkeypatch) as pool:

@@ -15,7 +15,7 @@ import urllib.request
 
 import pytest
 
-from repro.chaos import parse_schedule
+from repro.chaos import clock, parse_schedule
 from repro.errors import QueueFullError
 from repro.resilience.breaker import BreakerPolicy, CircuitBreaker
 from repro.serve.batching import AnalysisService, ServeConfig
@@ -305,6 +305,33 @@ class TestProbesUnderFailure:
             )
             assert code == 200 and body["status"] == "analytic"
             assert body["degraded"] is False
+
+    def test_brownout_ends_once_every_cooldown_has_passed(self):
+        config = ServeConfig(port=0, workers=2, engine_jobs=1)
+        with serving(config) as server:
+            pool = server.service._pool
+            # trip every breaker: one slot, threshold 1
+            pool._breakers[:] = [CircuitBreaker(BreakerPolicy(
+                failure_threshold=1, cooldown_s=60.0
+            ))]
+            [worker] = pool.lease(1)
+            worker.proc.kill()
+            worker.proc.join(timeout=10)
+            pool.release([worker])
+            code, body, _ = _get(server, "/readyz")
+            assert body["resilience"]["healthy"] is False
+            try:
+                clock.set_skew(120.0)  # the cooldown has passed
+                # cgm's indirect gathers defeat the predictor, so only a
+                # leased worker (the half-open probe) answers it exactly
+                code, body, _ = _post(server, "/v1/simulate", {"program": "cgm"})
+                assert code == 200
+                assert body["status"] == "ok"  # simulated, not degraded
+                code, body, _ = _get(server, "/readyz")
+                assert body["resilience"]["healthy"] is True
+                assert body["resilience"]["breakers"]["0"]["state"] == "closed"
+            finally:
+                clock.clear()
 
     def test_readyz_unready_when_queue_full(self):
         chaos = parse_schedule({"serve": {"queue_flood": 16}})
