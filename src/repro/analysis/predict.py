@@ -480,6 +480,33 @@ def _progression_member(lines: np.ndarray, base: np.ndarray, w: int,
     )
 
 
+def _seen_translates(seen: np.ndarray, offsets: np.ndarray, w: int,
+                     lo: int, hi: int):
+    """Where ``seen`` holds a translate ``offsets[row] + k*w``, ``lo <= k < hi``.
+
+    Returns ``(row, k - lo)`` of every such translate.  ``w`` is nonzero.
+    As in :func:`_progression_member`, a translate shares its offset's
+    residue mod ``|w|`` and its quotient runs through a window: one
+    ``searchsorted`` pair per offset over sorted (residue, quotient) keys.
+    """
+    aw = abs(w)
+    quot = seen // aw
+    q0 = int(quot.min()) - 1
+    span = int(quot.max()) - q0 + 2  # seen keys lie in [1, span - 2]
+    keys = seen % aw * span + (quot - q0)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    ends = offsets // aw - q0 + np.sign(w) * np.array([[lo], [hi - 1]])
+    first, last = np.clip(np.sort(ends, axis=0), 0, span - 1)
+    residue = offsets % aw * span
+    begin = np.searchsorted(keys, residue + first)
+    count = np.searchsorted(keys, residue + last, side="right") - begin
+    row = np.repeat(np.arange(len(offsets)), count)
+    at = np.arange(len(row)) + np.repeat(begin - (np.cumsum(count) - count),
+                                         count)
+    return row, (seen[order[at]] - offsets[row]) // w - lo
+
+
 def _fresh_stable(forever_fresh: np.ndarray, w: int, start: int,
                   num_units: int, entry_seen: np.ndarray,
                   entry_folds) -> bool:
@@ -499,34 +526,39 @@ def _fresh_stable(forever_fresh: np.ndarray, w: int, start: int,
     if len(entry_seen) == 0 and not entry_folds:
         return True  # nothing was ever seen: every translate is fresh
     span = num_units - start
-    if len(forever_fresh) * span > _MAX_WORKSPACE:
+    rows = len(forever_fresh)
+    if rows * span > _MAX_WORKSPACE:
         return False
-    ts = np.arange(start, num_units, dtype=np.int64) * w
-    lines = (forever_fresh[:, None] + ts[None, :]).ravel()
+    # Only the seen translates are located, never every translate tested
+    # (sweep_2m: 11 ms against 44 ms per call).
+    member = np.zeros((rows, span), dtype=bool)
     if len(entry_seen):
-        idx = np.searchsorted(entry_seen, lines)
-        idx[idx == len(entry_seen)] = 0
-        member = entry_seen[idx] == lines
-    else:
-        member = np.zeros(lines.shape, dtype=bool)
+        member[_seen_translates(entry_seen, forever_fresh, w, start,
+                                num_units)] = True
     # A fold of the same stride covers one run of copies per offset and
     # base line of its residue: b + k*w == f + t*w for t = k + (b - f)/w.
     # Counting runs, not testing each translate, is what keeps a loop
     # after a folded loop cheap (sweep_2m: 0.09 s against 0.26 s).
-    runs = np.zeros((len(forever_fresh), span + 1), dtype=np.int32)
+    runs = np.zeros((rows, span + 1), dtype=np.int32)
+    lines = None
     for fbase, fw, fhi in entry_folds:
-        if len(fbase) * len(lines) > _MAX_WORKSPACE:
+        if len(fbase) * rows * span > _MAX_WORKSPACE:
             return False
         if fw != w:
-            member |= _progression_member(lines, fbase, fw, 1, fhi)
+            if lines is None:
+                ts = np.arange(start, num_units, dtype=np.int64) * w
+                lines = (forever_fresh[:, None] + ts[None, :]).ravel()
+            member |= _progression_member(lines, fbase, fw, 1, fhi).reshape(
+                rows, span
+            )
             continue
         diff = fbase[None, :] - forever_fresh[:, None]
         row, col = np.nonzero(diff % abs(w) == 0)
         first = diff[row, col] // w + 1 - start
         np.add.at(runs, (row, np.clip(first, 0, span)), 1)
         np.add.at(runs, (row, np.clip(first + fhi, 0, span)), -1)
-    member |= (np.cumsum(runs, axis=1, dtype=np.int32)[:, :span] > 0).ravel()
-    counts = member.reshape(len(forever_fresh), span).sum(axis=1)
+    member |= np.cumsum(runs, axis=1, dtype=np.int32)[:, :span] > 0
+    counts = member.sum(axis=1)
     return bool(np.all((counts == 0) | (counts == span)))
 
 

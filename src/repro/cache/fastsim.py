@@ -28,12 +28,27 @@ against :class:`repro.cache.sim.ReferenceCache`.  Per chunk:
 6. Cold misses count distinct lines ever touched, kept in a sorted int64
    array and merged through ``searchsorted``.
 
+For k <= 2 the stats path (``access_chunk``) replaces steps 3-6 with a
+pass in set order, one sort per chunk:
+
+3'. A head hits iff its line equals the head k places before it; equal
+    lines share a set, so that needs no set check.  k = 1 prepends no
+    residents: a set's first access hits iff it repeats the carried line.
+4'. For k = 2 a residency is a run of equal lines along the chain of
+    every other head, so one ``cumsum``/``maximum.accumulate`` per chain
+    carries the dirty bit; for k = 1 a run of one line is a residency.
+5'. The new state is the last k heads of each touched set.
+6'. The cold-miss candidates are the sorted, distinct lines of the missed
+    accesses: a line never seen before always misses.
+
 Writes allocate; under write-through nothing is dirty and every write
 is one writeback.  :class:`FastDirectMapped` and
 :class:`FastSetAssociative` are names over that engine: each keeps its
 own ``engine_label`` and ``access_chunk``.  The unlabelled base engine
 records no metrics; the analytic predictor drives it through
-:meth:`_StackDistanceLRU.attribute_chunk`.
+:meth:`_StackDistanceLRU.attribute_chunk`, which keeps steps 3-6 at
+every k: its ``evicted_by`` needs each miss's previous occurrence of
+its line.
 """
 
 from __future__ import annotations
@@ -99,6 +114,33 @@ def _stable_order(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
     packed = ((keys - lo) << bits) | np.arange(len(keys))
     packed.sort()
     return packed & ((1 << bits) - 1)
+
+
+def _order_by_set(sets: np.ndarray, num_sets: int):
+    """Stable order of set indices, and the indices in that order.
+
+    Up to 65,536 sets the keys fit 16 bits, where numpy's stable argsort
+    is a radix sort.
+    """
+    if num_sets <= 1 << 16:
+        keys = sets.astype(np.uint16)
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    order = _stable_order(sets, 0, num_sets - 1)
+    return order, sets[order]
+
+
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, sorted.
+
+    A sort and a neighbour compare: recent numpy's ``np.unique`` hashes
+    instead, several times slower on these arrays.
+    """
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _distinct_below(prev, pos, nxt, ways: int) -> np.ndarray:
@@ -214,27 +256,24 @@ class _StackDistanceLRU:
         ways = self._ways
         lines = addrs >> self._line_shift
         sets = self._set_indices(lines)
+        if ways <= 2 and not attribute:
+            if ways == 1:
+                misses = self._direct_pass(lines, sets, wr)
+            else:
+                misses = self._two_way_pass(lines, sets, wr)
+            self._accumulate(wr, misses, _distinct_sorted(lines[misses]))
+            self._record(t0, misses)
+            return misses
 
-        # 1. Touched sets' residents first; a carried dirty bit acts as a
-        # write that stats never see.  Write-through never dirties a line.
-        touched_mask = np.zeros(self.config.num_sets, dtype=bool)
-        touched_mask[sets] = True
-        touched = np.flatnonzero(touched_mask)
+        # 1-2. Run heads in set order, behind the carried residents.  A
+        # carried dirty bit acts as a write that stats never see.
+        # Write-through never dirties a line.
+        touched, order, s_sets, hidx, h_lines = self._run_heads(lines, sets)
         m = len(touched) * ways
-        all_sets = np.concatenate((np.repeat(touched, ways), sets))
-        order = _stable_order(all_sets, 0, self._set_mask)
-        s_lines = np.concatenate((self._tags[touched].ravel(), lines))[order]
+        h_count = len(hidx)
         s_dirty = np.concatenate(
             (self._dirty[touched].ravel(), wr & self.config.write_back)
         )[order]
-
-        # 2. Run heads (a line determines its set, so lines alone compare).
-        head = np.empty(len(order), dtype=bool)
-        head[0] = True
-        np.not_equal(s_lines[1:], s_lines[:-1], out=head[1:])
-        hidx = np.flatnonzero(head)
-        h_lines = s_lines[hidx]
-        h_count = len(hidx)
 
         # 3. Previous occurrence of each head's line; arrays from here on
         # are in line order, holding head positions.  Sentinels sort first
@@ -281,7 +320,7 @@ class _StackDistanceLRU:
         final = np.zeros(h_count, dtype=bool)
         final[by_line[last]] = True
         final = np.flatnonzero(final)
-        final_sets = all_sets[order[hidx[final]]]
+        final_sets = s_sets[hidx[final]]
         in_last_k = np.ones(len(final), dtype=bool)
         in_last_k[:-ways] = final_sets[ways:] != final_sets[:-ways]
         resident = final[in_last_k]
@@ -304,11 +343,7 @@ class _StackDistanceLRU:
         # 6. Cold misses: the chunk's distinct lines not seen before.
         firsts = by_line[first & real[by_line]]  # sorted by line
         new = self._accumulate(wr, misses, h_lines[firsts])
-        if t0 is not None and self.engine_label:
-            record_chunk(
-                self.engine_label, n, int(np.count_nonzero(misses)),
-                time.perf_counter() - t0,
-            )
+        self._record(t0, misses)
         if not attribute:
             return misses
 
@@ -338,6 +373,116 @@ class _StackDistanceLRU:
             first_touch, evicted_by,
             victims[real_victim], evictor[ended[real_victim]],
         )
+
+    def _run_heads(self, lines, sets):
+        """Steps 1-2: the touched sets, the stable order by set of their
+        residents (first, LRU->MRU) and the chunk, the sets in that
+        order, and the run heads' positions and lines."""
+        touched_mask = np.zeros(self.config.num_sets, dtype=bool)
+        touched_mask[sets] = True
+        touched = np.flatnonzero(touched_mask)
+        order, s_sets = _order_by_set(
+            np.concatenate((np.repeat(touched, self._ways), sets)),
+            self.config.num_sets,
+        )
+        s_lines = np.concatenate((self._tags[touched].ravel(), lines))[order]
+        # A line determines its set, so lines alone compare.
+        head = np.empty(len(order), dtype=bool)
+        head[0] = True
+        np.not_equal(s_lines[1:], s_lines[:-1], out=head[1:])
+        hidx = np.flatnonzero(head)
+        return touched, order, s_sets, hidx, s_lines[hidx]
+
+    def _direct_pass(self, lines, sets, wr) -> np.ndarray:
+        """k = 1 in set order: only a set's first access can hit a line
+        it did not just touch, the line the set carried in."""
+        n = len(lines)
+        order, s_sets = _order_by_set(sets, self.config.num_sets)
+        s_lines = lines[order]
+        s_miss = np.empty(n, dtype=bool)
+        s_miss[0] = True
+        np.not_equal(s_lines[1:], s_lines[:-1], out=s_miss[1:])
+        begin = np.empty(n, dtype=bool)
+        begin[0] = True
+        np.not_equal(s_sets[1:], s_sets[:-1], out=begin[1:])
+        starts = np.flatnonzero(begin)
+        touched = s_sets[starts].astype(np.intp)
+        kept = s_lines[starts] == self._tags[touched, 0]
+        if self.config.write_back:
+            # A run of one line is one residency, except that a set's
+            # first run continues the carried one when it hits.
+            hidx = np.flatnonzero(s_miss)  # every run head, hits included
+            run_dirty = np.maximum.reduceat(wr[order], hidx)
+            first_run = np.searchsorted(hidx, starts)
+            last_run = np.empty_like(first_run)
+            last_run[:-1] = first_run[1:] - 1
+            last_run[-1] = len(hidx) - 1
+            carried = self._dirty[touched, 0]
+            run_dirty[first_run] |= carried & kept
+            new_dirty = run_dirty[last_run]
+            self._dirty[touched, 0] = new_dirty
+            self.stats.writebacks += (
+                int(np.count_nonzero(run_dirty))
+                - int(np.count_nonzero(new_dirty))
+                + int(np.count_nonzero(carried & ~kept))
+            )
+        s_miss[starts[kept]] = False
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:] - 1
+        ends[-1] = n - 1
+        self._tags[touched, 0] = s_lines[ends]
+        misses = np.empty(n, dtype=bool)
+        misses[order] = s_miss
+        return misses
+
+    def _two_way_pass(self, lines, sets, wr) -> np.ndarray:
+        """k = 2 in set order: a head hits iff it repeats the line two
+        heads back (the two heads before it are the set's residents)."""
+        touched, order, s_sets, hidx, h_lines = self._run_heads(lines, sets)
+        h_count = len(hidx)
+        # Equal lines share a set, so no set check; residents never hit.
+        start = np.ones(h_count, dtype=bool)
+        np.not_equal(h_lines[2:], h_lines[:-2], out=start[2:])
+        # The last two heads of each set stay resident, LRU first.
+        h_sets = s_sets[hidx]
+        last = np.empty(h_count, dtype=bool)
+        last[-1] = True
+        np.not_equal(h_sets[1:], h_sets[:-1], out=last[:-1])
+        last = np.flatnonzero(last)
+        resident = np.stack((last - 1, last), axis=1)
+        self._tags[touched] = h_lines[resident]
+        if self.config.write_back:
+            # A residency is a run of equal lines along a chain of every
+            # other head.  Column c of a (pairs, 2) view is the chain from
+            # head c (an odd count is padded with a start), so one
+            # accumulate carries the dirty bit along both chains.
+            s_dirty = np.concatenate((self._dirty[touched].ravel(), wr))[order]
+            pairs = np.ones(h_count + (h_count & 1), dtype=bool)
+            pairs[:h_count] = start
+            mark = np.cumsum(pairs.reshape(-1, 2), axis=0) * 2
+            mark.ravel()[:h_count] += np.maximum.reduceat(s_dirty, hidx)
+            np.maximum.accumulate(mark, axis=0, out=mark)
+            dirty = (mark.ravel()[:h_count] & 1) == 1
+            ends = np.ones(h_count, dtype=bool)
+            ends[:-2] = start[2:]
+            new_dirty = dirty[resident]
+            self._dirty[touched] = new_dirty
+            self.stats.writebacks += int(np.count_nonzero(dirty & ends)) - int(
+                np.count_nonzero(new_dirty)
+            )
+        s_miss = np.zeros(len(order), dtype=bool)
+        s_miss[hidx] = start
+        unsorted = np.empty(len(order), dtype=bool)
+        unsorted[order] = s_miss
+        return unsorted[2 * len(touched):]
+
+    def _record(self, t0, misses) -> None:
+        """The chunk's ``repro_sim_*`` metrics, if collecting and labelled."""
+        if t0 is not None and self.engine_label:
+            record_chunk(
+                self.engine_label, len(misses), int(np.count_nonzero(misses)),
+                time.perf_counter() - t0,
+            )
 
     def _accumulate(self, wr, misses, fresh) -> np.ndarray:
         """Count the chunk; returns which ``fresh`` lines are new."""

@@ -130,7 +130,8 @@ class WorkerPool:
         self.heartbeat_s = heartbeat_s
         self._ctx = _mp_context()
         self._lock = threading.RLock()
-        self._swept = threading.Condition(self._lock)  # a sweep ended
+        # a sweep ended, a lease came back or the pool closed
+        self._changed = threading.Condition(self._lock)
         self._idle: List[_Worker] = []
         self._pinging: Set[int] = set()  # slots a sweep has off _idle
         self._out: Set[int] = set()  # slots out on lease
@@ -215,8 +216,10 @@ class WorkerPool:
 
         Warm idle workers go first, then empty slots get fresh spawns;
         dead idle workers found here are replaced silently.  A slot goes
-        out only if its breaker allows it; raises
-        :class:`~repro.errors.EngineError` when none may.
+        out only if its breaker allows it.  While every slot that may go
+        out is out on lease, the call waits for a release; it raises
+        :class:`~repro.errors.EngineError` when every slot's breaker is
+        cooling down.
 
         The lease is atomic: if a spawn fails partway, every worker
         already gathered goes back to the idle set before the error
@@ -224,45 +227,57 @@ class WorkerPool:
         neither idle nor leased.
         """
         with self._lock:
-            while self._pinging and not self._closed:
-                self._swept.wait()
-            self._require_open()
-            count = max(1, min(count, self.jobs))
-            now = clock.monotonic()
-            idle = {worker.slot: worker for worker in self._idle}
-            leased: List[_Worker] = []
-            try:
-                for slot in list(idle) + self._empty_slots():
-                    if len(leased) == count:
-                        break
-                    breaker = self._breakers[slot]
-                    if not breaker.allow(now):
-                        continue
-                    worker = idle.get(slot)
-                    if worker is not None:
-                        self._idle.remove(worker)
-                        if not worker.proc.is_alive():
-                            worker.kill()
-                            worker = None
-                    if worker is None:
-                        try:
-                            worker = self._spawn(slot)
-                        except BaseException:
-                            # a slot that cannot spawn failed its turn;
-                            # this also returns a half-open probe
-                            breaker.record_failure(now)
-                            raise
-                    leased.append(worker)
-            except BaseException:
-                # hand back what was gathered, closing any probes it took
-                self.release(leased)
-                raise
-            if not leased:
-                raise EngineError(
-                    "all worker circuit breakers are open; pool is quarantined"
-                )
-            self._out.update(worker.slot for worker in leased)
-            return leased
+            while True:
+                leased = self._gather(count)
+                if leased:
+                    self._out.update(worker.slot for worker in leased)
+                    return leased
+                if self._open_slots() == self.jobs:
+                    raise EngineError(
+                        "all worker circuit breakers are open; "
+                        "pool is quarantined"
+                    )
+                # Every other slot is out on lease: wait for a release.
+                # The timeout re-reads the breakers, whose cooldowns
+                # end without a notification.
+                self._changed.wait(self.heartbeat_s)
+
+    def _gather(self, count: int) -> List[_Worker]:
+        """One pass of :meth:`lease` over the slots (lock held)."""
+        while self._pinging and not self._closed:
+            self._changed.wait()
+        self._require_open()
+        count = max(1, min(count, self.jobs))
+        now = clock.monotonic()
+        idle = {worker.slot: worker for worker in self._idle}
+        leased: List[_Worker] = []
+        try:
+            for slot in list(idle) + self._empty_slots():
+                if len(leased) == count:
+                    break
+                breaker = self._breakers[slot]
+                if not breaker.allow(now):
+                    continue
+                worker = idle.get(slot)
+                if worker is not None:
+                    self._idle.remove(worker)
+                    if not worker.proc.is_alive():
+                        worker.kill()
+                        worker = None
+                if worker is None:
+                    try:
+                        worker = self._spawn(slot)
+                    except BaseException:
+                        # a slot that cannot spawn failed its turn;
+                        # this also returns a half-open probe
+                        breaker.record_failure(now)
+                        raise
+                leased.append(worker)
+        except BaseException:
+            # hand back what was gathered, closing any probes it took
+            self.release(leased)
+            raise
+        return leased
 
     @contextlib.contextmanager
     def leased(self, count: int) -> Iterator[List[_Worker]]:
@@ -313,6 +328,7 @@ class WorkerPool:
                     worker.kill()
                 else:
                     self._idle.append(worker)
+            self._changed.notify_all()
             self._publish()
 
     def close(self) -> None:
@@ -329,6 +345,7 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
+            self._changed.notify_all()
             for worker in self._idle:
                 worker.stop()
             self._idle.clear()
@@ -401,7 +418,7 @@ class WorkerPool:
         wedged.extend(pending.values())
         with self._lock:
             self._pinging.difference_update(worker.slot for worker in checked)
-            self._swept.notify_all()
+            self._changed.notify_all()
             for worker in wedged:
                 self._wedged_total += 1
                 self._breakers[worker.slot].record_failure()

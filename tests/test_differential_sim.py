@@ -383,3 +383,140 @@ def test_metrics_disabled_costs_no_instruments():
     _run(make_simulator(config), addresses, writes)
     _run(ReferenceCache(config), addresses, writes)
     assert len(obs.registry()) == 0
+
+
+# -- the set-order pass (k <= 2) ----------------------------------------------
+#
+# ``access_chunk`` decides direct-mapped and 2-way hits in set order;
+# ``attribute_chunk`` (and every k >= 3) keeps the line-sort path.  Both
+# must leave the same state behind, and both must be the reference cache.
+
+SET_ORDER_CONFIGS = [
+    CacheConfig(1024, 16, ways, write_back=write_back)
+    for ways in (1, 2)
+    for write_back in (True, False)
+]
+
+
+def _engine_state(engine):
+    """Per set, the resident (line, dirty) pairs LRU first, no empty ways."""
+    real = engine._tags >= np.iinfo(np.int64).min + engine._tags.size
+    return [
+        list(zip(tags[keep].tolist(), dirty[keep].tolist()))
+        for tags, dirty, keep in zip(engine._tags, engine._dirty, real)
+    ]
+
+
+def _reference_state(reference):
+    return [[(line.tag, line.dirty) for line in ways]
+            for ways in reference._sets]
+
+
+def assert_set_order_exact(make, config, addresses, writes, bounds=None,
+                           relabel=None):
+    """The stats path against the line-sort path and a ReferenceCache,
+    chunk by chunk: miss masks, then stats and the final state.
+
+    ``relabel`` feeds the reference the trace with XOR placement written
+    as modulo placement; its lines then differ, so the state check
+    compares the two engine paths only.
+    """
+    fast, line = make(config), make(config)
+    reference = ReferenceCache(config)
+    ref_addresses = addresses if relabel is None else relabel(addresses)
+    edges = _edges(addresses, bounds)
+    for lo, hi in zip(edges, edges[1:]):
+        got = fast.access_chunk(addresses[lo:hi], writes[lo:hi])
+        want, _ = line.attribute_chunk(addresses[lo:hi], writes[lo:hi])
+        assert np.array_equal(got, want), (lo, hi)
+        assert np.array_equal(
+            got, reference.access_chunk(ref_addresses[lo:hi], writes[lo:hi])
+        ), (lo, hi)
+    assert fast.stats == line.stats == reference.stats
+    assert np.array_equal(fast._tags, line._tags)
+    assert np.array_equal(fast._dirty, line._dirty)
+    assert np.array_equal(fast._seen, line._seen)
+    if relabel is None:
+        assert _engine_state(fast) == _reference_state(reference)
+        assert fast._seen.tolist() == sorted(reference._seen_lines)
+    return fast
+
+
+@pytest.mark.parametrize("config", SET_ORDER_CONFIGS, ids=_config_id)
+def test_set_order_every_chunk_split(config):
+    rng = np.random.default_rng(zlib.crc32(_config_id(config).encode()))
+    addresses, writes = make_trace(rng, config, 400)
+    for chunk in range(1, 51):
+        assert_set_order_exact(
+            make_simulator, config, addresses, writes,
+            bounds=range(chunk, len(addresses), chunk),
+        )
+
+
+@pytest.mark.parametrize("config", SET_ORDER_CONFIGS, ids=_config_id)
+def test_set_order_run_across_a_chunk_boundary(config):
+    """A written run cut by every chunk boundary, then evicted."""
+    stride = config.num_sets * config.line_bytes  # same set, next line
+    run = np.zeros(6, dtype=np.int64)  # six accesses to line 0
+    evict = np.arange(1, config.associativity + 2) * stride
+    addresses = np.concatenate((run, evict, run, evict))
+    writes = np.zeros(len(addresses), dtype=bool)
+    writes[[1, 4, len(run) + len(evict) + 2]] = True
+    for cut in range(1, len(addresses)):
+        fast = assert_set_order_exact(
+            make_simulator, config, addresses, writes, bounds=[cut],
+        )
+        assert fast.stats.writebacks == (
+            2 if config.write_back else int(np.count_nonzero(writes))
+        )
+
+
+@pytest.mark.parametrize("config", SET_ORDER_CONFIGS, ids=_config_id)
+def test_set_order_lines_next_to_the_empty_way_sentinels(config):
+    """Lines near int64 min (and -1, -2, ...) sort right above the
+    sentinels that mark empty ways; none of them may pass for one."""
+    lowest = np.iinfo(np.int64).min
+    stride = config.num_sets * config.line_bytes
+    near = lowest + np.arange(3 * config.associativity) * stride
+    small = -np.arange(1, 4) * config.line_bytes
+    rng = np.random.default_rng(5)
+    pool = np.concatenate((near, near + config.line_bytes, small))
+    addresses = rng.choice(pool, size=600)
+    writes = rng.random(600) < 0.4
+    assert_set_order_exact(make_simulator, config, addresses, writes,
+                           bounds=range(37, 600, 37))
+
+
+@pytest.mark.parametrize("config", SET_ORDER_CONFIGS, ids=_config_id)
+def test_set_order_chunk_touching_every_set(config):
+    capacity = config.num_sets * config.associativity
+    sweep = np.arange(2 * capacity) * config.line_bytes
+    addresses = np.concatenate((sweep, sweep[::-1], sweep)).astype(np.int64)
+    writes = np.arange(len(addresses)) % 3 == 0
+    assert_set_order_exact(make_simulator, config, addresses, writes,
+                           bounds=[len(sweep), 2 * len(sweep) + 5])
+
+
+@pytest.mark.parametrize("config", SET_ORDER_CONFIGS, ids=_config_id)
+def test_set_order_xor_placement(config):
+    rng = np.random.default_rng(zlib.crc32(f"xor/{_config_id(config)}".encode()))
+    addresses, writes = make_trace(rng, config, TRACE_LENGTH)
+    addresses = addresses - config.size_bytes  # some negative lines
+    assert_set_order_exact(
+        make_xor_simulator, config, addresses, writes,
+        relabel=lambda addrs: _xor_lines_as_modulo(config, addrs),
+    )
+
+
+@pytest.mark.parametrize("sets", [1 << 16, 1 << 17])
+@pytest.mark.parametrize("ways", [1, 2])
+def test_set_order_beyond_16_bit_set_indices(sets, ways):
+    """Up to 65,536 sets the set sort is a 16-bit radix sort; more sets
+    take the packed-key sort."""
+    config = CacheConfig(sets * ways * 4, 4, ways)
+    rng = np.random.default_rng(sets + ways)
+    addresses, writes = make_trace(rng, config, TRACE_LENGTH)
+    top = (sets - 1) * 4  # the highest set index, beside set 0
+    addresses = np.concatenate((addresses, [top, 0, top, top + sets * 4]))
+    writes = np.concatenate((writes, [True, False, True, False]))
+    assert_set_order_exact(make_simulator, config, addresses, writes)

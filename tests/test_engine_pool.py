@@ -1,6 +1,7 @@
 """The one worker pool (repro.engine.pool) and its engine integration."""
 
 import threading
+import time
 
 import pytest
 
@@ -99,6 +100,40 @@ class TestWorkerPool:
             leased = pool.lease(4)  # the pool still works at full size
             assert len(leased) == 4
             pool.release(leased)
+
+    def test_lease_waits_while_every_slot_is_out(self):
+        # regression: with every slot merely out on lease, a further
+        # lease raised "pool is quarantined" though no breaker was open
+        errors, out = [], set()
+        guard = threading.Lock()
+
+        def borrower(pool):
+            try:
+                for _ in range(40):
+                    [worker] = pool.lease(1)
+                    with guard:
+                        assert worker.slot not in out, "slot out twice"
+                        out.add(worker.slot)
+                    time.sleep(0.001)  # hold it while the others ask
+                    with guard:
+                        out.discard(worker.slot)
+                    pool.release([worker])
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        with WorkerPool(jobs=2) as pool:
+            threads = [
+                threading.Thread(target=borrower, args=(pool,))
+                for _ in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert pool.health()["breakers_open"] == 0
+            assert pool.leased_count == 0
 
     def test_release_after_close_kills(self):
         pool = WorkerPool(jobs=1)

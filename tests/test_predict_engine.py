@@ -161,6 +161,8 @@ class TestFreshStability:
             start = int(rng.integers(0, stop))
             fresh = np.unique(rng.integers(-20, 20, size=rng.integers(1, 5)))
             seen = np.unique(rng.integers(-50, 60, size=rng.integers(0, 12)))
+            if rng.random() < 0.3:  # every translate of one offset seen
+                seen = np.union1d(seen, fresh[0] + np.arange(start, stop) * w)
             folds = tuple(
                 (np.unique(rng.integers(-30, 30, size=rng.integers(1, 4))),
                  w if rng.random() < 0.7 else int(rng.choice(strides)),
